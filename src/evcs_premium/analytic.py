@@ -92,6 +92,13 @@ class TypicalDaySet:
         d = np.atleast_2d(np.asarray(self.demand_kw, dtype=float))
         object.__setattr__(self, "likelihood", phi)
         object.__setattr__(self, "demand_kw", d)
+        for name, arr in (("likelihoods", phi), ("demand", d)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                at = tuple(int(i) for i in bad[0])
+                raise AnalyticError(
+                    f"{name} must be finite, got {arr[at]!r} at index "
+                    f"{at[0] if len(at) == 1 else at}")
         if d.shape[0] != phi.size:
             raise AnalyticError(
                 f"{phi.size} likelihoods but {d.shape[0]} demand rows")

@@ -1,8 +1,7 @@
 """Deterministic LP/QP backend with dual extraction.
 
-All optimization in the package funnels through the two entry points here,
-:func:`solve_lp` and :func:`solve_qp`, so that dual conventions are fixed in
-one place:
+The two entry points here, :func:`solve_lp` and :func:`solve_qp`, fix the
+dual conventions in one place:
 
 * ``duals[i]`` is the sensitivity of the optimal objective to the right-hand
   side of row ``i`` (d obj / d rhs). For a minimization this makes the dual of
@@ -10,12 +9,14 @@ one place:
 * ``reduced_lower[j]`` / ``reduced_upper[j]`` are the sensitivities to the
   variable bounds.
 
-LPs are handed to scipy's HiGHS interface, whose marginals already follow this
-convention. QPs (diagonal positive semidefinite Hessian only, which is all the
-package needs) are solved by a dense Mehrotra predictor-corrector interior
-point method followed by an active-set least-squares polish; row feasibility
-is certified up front with an LP phase so infeasibility never has to be
-inferred from IPM divergence.
+LPs (the OPF programs) are handed to scipy's HiGHS interface, whose marginals
+already follow this convention. QPs (diagonal positive semidefinite Hessian
+only) are solved by a dense Mehrotra predictor-corrector interior point
+method followed by an active-set least-squares polish; row feasibility is
+certified up front with an LP phase so infeasibility never has to be
+inferred from IPM divergence. The package's own price program has a
+dedicated exact solver in :mod:`evcs_premium.cvar`; :func:`solve_qp` stays
+as the generic reference that solver is tested against.
 """
 
 from __future__ import annotations

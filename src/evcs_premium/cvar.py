@@ -2,22 +2,45 @@
 
 The charging station picks its price vector by minimizing ||lambda||^2
 subject to a CVaR restriction keeping the alpha-tail of its per-day net
-cost nonpositive. For alpha in (0, 1] that is a convex QP in
-(lambda, v, zeta); alpha = 0 degenerates to the pure worst-case epigraph
-(v bounded above by zero, one cost row per day). The insurer side is a
-one-dimensional fixed point x -> CL(lambda(x)) contracting at the
-composite rate C/M < 1.
+cost nonpositive:
 
-Dual conventions follow the break-even program
+    min ||lambda||^2  s.t.  lambda >= floor,  CVaR_alpha(a - m D lambda) <= 0
+
+with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
+worst-case day cost. The insurer side is a one-dimensional fixed point
+x -> CL(lambda(x)) contracting at the composite rate C/M < 1.
+
+The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
+holds exactly when w.c <= 0 for every vertex w of the risk envelope
+Q_alpha = {w : sum w = 1, 0 <= w^s <= phi^s/alpha} (Rockafellar &
+Uryasev, J. Risk 2000). At the current prices the sort-and-fill vertex
+of cvar_sup is the most violated one (a one-hot on the worst day at
+alpha = 0, phi itself at alpha = 1); it enters the master problem as the
+cut m (D^T w).lambda >= a.w. The master, a minimum-norm point under
+finitely many cuts plus the rows lambda_t >= floor_t of the positive
+floors, is a least-distance program solved by Lawson-Hanson NNLS
+(Solving Least Squares Problems, 1974, ch. 23) and polished by one exact
+solve on its rows with positive multipliers. The rounds end when the
+most violated vertex is already a cut or not violated at all; Q_alpha
+has finitely many vertices, so they are finite.
+
+Feasibility is decided in closed form. Since p_attack and risk_share lie
+in [0, 1], m >= 0. For m > 0 the program is always feasible (raising the
+prices lowers every day cost with demand, and a zero-demand day has
+a^s = 0); for m = 0 the costs do not depend on the prices, so it is
+feasible exactly when CVaR_alpha(a) <= 0, at lambda = floor.
+
+The certificate is reported in the conventions of the break-even program
 
     min ||lambda||^2
     s.t. v + sum_s phi^s zeta^s <= 0            (eta >= 0)
          alpha zeta^s + v + m d^s.lambda >= a^s (varphi^s >= 0)
          zeta >= 0 (mu), lambda >= 0 (beta)
 
-with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
-worst-case day cost. Stationarity then reads, exactly as verified by
-kkt_report:
+(alpha = 0 degenerates to the pure worst-case epigraph: v bounded above
+by zero, one cost row per day). With y_j the multiplier of cut w_j,
+varphi = sum_j y_j w_j, v is the VaR level and zeta = (c - v)_+ / alpha,
+and stationarity then reads, exactly as verified by kkt_report:
 
     2 lambda_t - m sum_s varphi^s d_t^s - beta_t = 0
     eta - sum_s varphi^s = 0
@@ -39,13 +62,7 @@ from .analytic import (
     composite_C,
     premium_multiplier_M,
 )
-from .backend import (
-    SENSE_GE,
-    SENSE_LE,
-    ConvexQP,
-    SolverOptions,
-    solve_qp,
-)
+from scipy.optimize import nnls
 
 BOUND_MODES = ("lower", "expected", "upper")
 
@@ -211,6 +228,34 @@ class PremiumQuote:
         return self.premium / 100.0
 
 
+def _tail_vertex(costs, weights, alpha):
+    """Sort-and-fill maximizer of w.costs over Q_alpha.
+
+    Returns (w, key, last): the vertex, a hashable key naming it (its
+    fully weighted days and the day that fills the unit mass) and that
+    filling day, whose cost is the VaR level. The weights are computed
+    from the key alone, so a vertex found twice is bitwise the same.
+    alpha = 0 gives the one-hot vector on the worst day, alpha = 1 the
+    weights themselves (filled last by the cheapest day).
+    """
+    order = np.argsort(-costs, kind="stable")
+    if alpha == 1.0:
+        return weights.copy(), (), int(order[-1])
+    w = np.zeros(costs.size)
+    if alpha == 0.0:
+        last = int(order[0])
+        w[last] = 1.0
+        return w, ((), last), last
+    caps = weights / alpha
+    k = min(int(np.searchsorted(np.cumsum(caps[order]), 1.0)),
+            costs.size - 1)
+    full = np.sort(order[:k])
+    last = int(order[k])
+    w[full] = caps[full]
+    w[last] = max(1.0 - w[full].sum(), 0.0)
+    return w, (tuple(full.tolist()), last), last
+
+
 def cvar_sup(costs, weights, alpha):
     """CVaR_alpha as the sup of reweighted expectations.
 
@@ -228,18 +273,8 @@ def cvar_sup(costs, weights, alpha):
         raise RiskError("costs must be finite")
     if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-9:
         raise RiskError("weights must be a probability vector")
-    if alpha == 0.0:
-        return float(costs.max())
-    order = np.argsort(-costs, kind="stable")
-    remaining = 1.0
-    total = 0.0
-    for s in order:
-        take = min(weights[s] / alpha, remaining)
-        total += take * costs[s]
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return float(total)
+    w, _, _ = _tail_vertex(costs, weights, alpha)
+    return float(w @ costs)
 
 
 def worst_case_scenario_cost(demand_kw, charging_price, tariff, x_hat,
@@ -281,9 +316,53 @@ def _cost_pieces(days, x_hat, policy, tariff):
     return m, a
 
 
+_MAX_CUT_ROUNDS = 200
+
+
+def _least_distance(g, h):
+    """min ||x||^2 s.t. g x >= h, as NNLS on [g^T; h^T] u ~ e_last.
+
+    Lawson & Hanson's least-distance reduction: with r = E u - e_last,
+    x = -r[:n] / r[n] = g^T u / (1 - h.u). The right-hand side is scaled
+    to unit size first, which scales x alike. One exact solve on the rows
+    with positive multipliers then polishes the point. Returns (x, y) with
+    2 x = g^T y and y >= 0.
+    """
+    scale = float(np.abs(h).max(initial=0.0)) or 1.0
+    hs = h / scale
+    e = np.vstack([g.T, hs])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    try:
+        u, _ = nnls(e, f)
+    except RuntimeError as exc:
+        raise RiskError(f"least-distance master failed: {exc}") from None
+    den = 1.0 - float(hs @ u)
+    if den <= 1e-12:
+        raise RiskError("least-distance master has inconsistent rows")
+    y = u * (2.0 * scale / den)
+    x = 0.5 * (g.T @ y)
+
+    active = np.flatnonzero(u > 0.0)
+    if 0 < active.size <= g.shape[1]:
+        q, r = np.linalg.qr(g[active].T)
+        try:
+            z = np.linalg.solve(r.T, h[active])
+            ya = 2.0 * np.linalg.solve(r, z)
+        except np.linalg.LinAlgError:
+            return x, y
+        xp = q @ z
+        size = 1.0 + float(np.abs(y).max())
+        if (ya.min() >= -1e-9 * size
+                and float(np.min(g @ xp - h)) >= -1e-9 * scale):
+            y = np.zeros(h.size)
+            y[active] = np.maximum(ya, 0.0)
+            x = xp
+    return x, y
+
+
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
-                           tariff, *, price_floor=None,
-                           options: SolverOptions | None = None):
+                           tariff, *, price_floor=None):
     """Minimum-norm charging prices keeping the alpha-tail cost nonpositive.
 
     tariff may be one (T,) schedule or a per-day (S, T) table in cents/kWh;
@@ -292,6 +371,8 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     the tri-level solver); the default is zero. With a nonzero floor the
     beta multipliers belong to lambda >= floor, so the zero-price
     complementarity family of kkt_report no longer applies to the result.
+    Solved exactly by cutting planes over the vertices of the risk
+    envelope (see the module docstring).
     """
     if x_hat < 0:
         raise RiskError(f"x_hat must be nonnegative, got {x_hat}")
@@ -308,119 +389,56 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
         if floor.shape != (n_hour,) or not np.all(floor >= 0.0):
             raise RiskError("price_floor must be a nonnegative per-hour "
                             "vector")
-
-    # Solve v and zeta in units of a reference daily energy so the matrix
-    # stays O(1) at any demand scale; substituting v = d_ref v', zeta =
-    # d_ref zeta' and dividing the day rows by d_ref is exact, and the
-    # duals map back as phi = phi'/d_ref, eta = eta'/d_ref, mu = mu'/d_ref.
-    d_ref = max(float(d.sum(axis=1).mean()), 1e-9)
-
-    if alpha == 1.0:
-        # At the expectation level CVaR_1 = E, so the tail program
-        # collapses to the single row E[c(lambda)] <= 0. Solving that
-        # directly removes the cost-free (v, zeta) recession ray that can
-        # stall the interior-point iteration; the full certificate is
-        # rebuilt below and satisfies every optimality family exactly.
-        row = (m * (phi @ d) / d_ref)[None, :]
-        rhs_val = float(phi @ a) / d_ref
-        q = np.full(n_hour, 2.0)
-        qp = ConvexQP.from_dense(q, np.zeros(n_hour), row, [SENSE_GE],
-                                 np.array([rhs_val]), floor, None)
-        res = solve_qp(qp, options)
-        if res.status == "infeasible":
-            raise RiskInfeasibleError(
-                f"no nonnegative price satisfies the alpha={alpha} tail "
-                f"constraint (m={m:g}); the station cannot break even")
-        if res.status != "optimal":
-            raise RiskError(f"price program ended with status {res.status}")
-        lam = res.x.copy()
-        sigma = max(float(res.duals[0]), 0.0) / d_ref
-        varphi = sigma * phi
-        eta = sigma
-        mu = np.zeros(n_day)
-        beta = res.reduced_lower.copy()
-        costs = a - m * (d @ lam)
-        v = float(costs.min()) - 1.0
-        zeta = costs - v
-    elif alpha > 0.0:
-        # variables [lambda (T) | v' | zeta' (S)]
-        n = n_hour + 1 + n_day
-        rows = np.zeros((1 + n_day, n))
-        rows[0, n_hour] = 1.0
-        rows[0, n_hour + 1:] = phi
-        senses = [SENSE_LE]
-        rhs = [0.0]
-        for s in range(n_day):
-            rows[1 + s, :n_hour] = m * d[s] / d_ref
-            rows[1 + s, n_hour] = 1.0
-            rows[1 + s, n_hour + 1 + s] = alpha
-            senses.append(SENSE_GE)
-            rhs.append(a[s] / d_ref)
-        lower = np.zeros(n)
-        lower[:n_hour] = floor
-        lower[n_hour] = -np.inf
-        q = np.zeros(n)
-        q[:n_hour] = 2.0
-        qp = ConvexQP.from_dense(q, np.zeros(n), rows, senses,
-                                 np.asarray(rhs, dtype=float), lower, None)
-        res = solve_qp(qp, options)
-        if res.status == "infeasible":
-            raise RiskInfeasibleError(
-                f"no nonnegative price satisfies the alpha={alpha} tail "
-                f"constraint (m={m:g}); the station cannot break even")
-        if res.status != "optimal":
-            raise RiskError(f"price program ended with status {res.status}")
-        lam = res.x[:n_hour].copy()
-        v = float(res.x[n_hour]) * d_ref
-        zeta = res.x[n_hour + 1:] * d_ref
-        eta = float(-res.duals[0]) / d_ref
-        varphi = res.duals[1:] / d_ref
-        mu = res.reduced_lower[n_hour + 1:] / d_ref
-        beta = res.reduced_lower[:n_hour].copy()
-    else:
-        # pure worst case: variables [lambda (T) | v'], v' <= 0, rows keep
-        # every scaled day cost below v'
-        n = n_hour + 1
-        rows = np.zeros((n_day, n))
-        rows[:, :n_hour] = m * d / d_ref
-        rows[:, n_hour] = 1.0
-        senses = [SENSE_GE] * n_day
-        lower = np.zeros(n)
-        lower[:n_hour] = floor
-        lower[n_hour] = -np.inf
-        upper = np.full(n, np.inf)
-        upper[n_hour] = 0.0
-        q = np.zeros(n)
-        q[:n_hour] = 2.0
-        qp = ConvexQP.from_dense(q, np.zeros(n), rows, senses, a / d_ref,
-                                 lower, upper)
-        res = solve_qp(qp, options)
-        if res.status == "infeasible":
+    if m == 0.0 and cvar_sup(a, phi, alpha) > 0.0:
+        if alpha == 0.0:
             raise RiskInfeasibleError(
                 f"no nonnegative price covers the worst day (m={m:g}); "
                 "the station cannot break even")
-        if res.status != "optimal":
-            raise RiskError(f"price program ended with status {res.status}")
-        lam = res.x[:n_hour].copy()
-        v = float(res.x[n_hour]) * d_ref
-        zeta = np.zeros(n_day)
-        varphi = res.duals / d_ref
-        eta = float(varphi.sum())
-        mu = eta * phi
-        beta = res.reduced_lower[:n_hour].copy()
+        raise RiskInfeasibleError(
+            f"no nonnegative price satisfies the alpha={alpha} tail "
+            f"constraint (m={m:g}); the station cannot break even")
 
-    lam = np.maximum(lam, 0.0)
-    zeta = np.maximum(zeta, 0.0)
-    varphi = np.maximum(varphi, 0.0)
-    mu = np.maximum(mu, 0.0)
-    beta = np.maximum(beta, 0.0)
-    eta = max(eta, 0.0)
-    costs = a - m * (d @ lam)
-    cvar_value = cvar_sup(costs, phi, alpha)
+    # Cut rows are divided by a reference daily energy so the master stays
+    # O(1) at any demand scale; their multipliers map back as y / d_ref.
+    d_ref = max(float(d.sum(axis=1).mean()), 1e-9)
+    pos = np.flatnonzero(floor > 0.0)
+    floor_rows = np.eye(n_hour)[pos]
+    cuts, rows, rhs = [], [], []
+    keys = set()
+    lam = floor.copy()
+    y = np.zeros(0)
+    for _ in range(_MAX_CUT_ROUNDS):
+        costs = a - m * (d @ lam)
+        w, key, last = _tail_vertex(costs, phi, alpha)
+        # A repeated vertex is satisfied up to rounding by the master's
+        # point; a nonpositive value means the point is feasible outright.
+        if key in keys or float(w @ costs) <= 0.0:
+            break
+        keys.add(key)
+        cuts.append(w)
+        rows.append(m * (w @ d) / d_ref)
+        rhs.append(float(w @ a) / d_ref)
+        lam, y = _least_distance(np.vstack(rows + [floor_rows]),
+                                 np.concatenate([rhs, floor[pos]]))
+    else:
+        raise RiskError(
+            f"price program cutting planes did not settle in "
+            f"{_MAX_CUT_ROUNDS} rounds")
+
+    varphi = (y[:len(cuts)] / d_ref) @ np.array(cuts).reshape(-1, n_day)
+    eta = float(varphi.sum())
+    mu = np.maximum(eta * phi - alpha * varphi, 0.0)
+    beta = np.maximum(2.0 * lam - m * (varphi @ d), 0.0)
+    if alpha == 0.0:
+        v = min(float(costs.max()), 0.0)
+        zeta = np.zeros(n_day)
+    else:
+        v = float(costs[last])
+        zeta = np.maximum(costs - v, 0.0) / alpha
     tilted = varphi / eta if eta > 1e-12 else phi.copy()
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
                         varphi=varphi, mu=mu, beta=beta,
-                        cvar_value=cvar_value, tilted_weights=tilted,
+                        cvar_value=float(w @ costs), tilted_weights=tilted,
                         alpha=alpha)
 
 
@@ -505,8 +523,7 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
 
 
 def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
-                           x_start=0.0, max_iters=500, tol=1e-8,
-                           options: SolverOptions | None = None):
+                           x_start=0.0, max_iters=500, tol=1e-8):
     """Fixed point of x -> CL(lambda(x)) at the configured box ends.
 
     The claim limit CL uses the original day likelihoods (the insurer does
@@ -531,8 +548,7 @@ def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
     trace = []
     converged = False
     for k in range(max_iters):
-        sol = solve_risk_averse_evcs(days, x / total, config, tariff,
-                                     options=options)
+        sol = solve_risk_averse_evcs(days, x / total, config, tariff)
         revenue = float(days.likelihood @ (days.demand_kw
                                            @ sol.charging_price))
         x_new = c_comp * revenue
@@ -549,8 +565,7 @@ def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
             f"iterations (last residual {trace[-1]:g})", trace)
 
     x = max(x, 0.0)
-    sol = solve_risk_averse_evcs(days, x / total, config, tariff,
-                                 options=options)
+    sol = solve_risk_averse_evcs(days, x / total, config, tariff)
     report = kkt_report(sol, days, x / total, config, tariff)
     if report.max_residual > 1e-6:
         raise RiskError(

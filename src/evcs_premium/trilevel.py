@@ -203,14 +203,14 @@ def solve_trilevel_direct(network: Network, days: TypicalDaySet,
     from .cvar import robust_premium_bilevel
 
     results, tariff, gaps = _grid_blocks(network, days, options)
-    quote = robust_premium_bilevel(days, config, tariff, options=options)
+    quote = robust_premium_bilevel(days, config, tariff)
     return TrilevelQuote(quote=quote, dlmp=tuple(results),
                          tariff_cents=tariff, duality_gaps=gaps,
                          mode="direct")
 
 
 def _principal(days, tariff, config, floor, *, x_hat_start=0.0,
-               max_iters=500, tol=1e-10, options=None):
+               max_iters=500, tol=1e-10):
     """Master optimum under the current cut floor.
 
     Returns (x_hat, price). The coverage row binds at the optimum, so the
@@ -222,7 +222,7 @@ def _principal(days, tariff, config, floor, *, x_hat_start=0.0,
     x_hat = float(x_hat_start)
     for k in range(max_iters):
         sol = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                     price_floor=floor, options=options)
+                                     price_floor=floor)
         x_new = claim_loss(policy, days, sol.charging_price) / total
         if abs(x_new - x_hat) <= tol * (1.0 + abs(x_hat)):
             return max(x_new, 0.0), sol.charging_price
@@ -261,7 +261,7 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
     converged = False
     for k in range(1, max_iters + 1):
         x_hat, price_p = _principal(days, tariff, config, floor,
-                                    x_hat_start=x_hat, options=options)
+                                    x_hat_start=x_hat)
         viol = float(np.max(floor - price_p, initial=0.0))
         if viol > CUT_SLACK:
             raise TrilevelError(
@@ -276,8 +276,7 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
                     f"({norm_p:g} < {cut.norm_sq:g})")
         upper = total * x_hat + norm_p
 
-        sub = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                     options=options)
+        sub = solve_risk_averse_evcs(days, x_hat, config, tariff)
         norm_s = float(sub.charging_price @ sub.charging_price)
         lower = total * x_hat + norm_s
 
@@ -363,8 +362,7 @@ def demand_scaling_sweep(network: Network, days: TypicalDaySet,
             for bound in bounds:
                 cell = replace(config, alpha=alpha, bound_mode=bound)
                 try:
-                    quote = robust_premium_bilevel(scaled, cell, tariff,
-                                                   options=options)
+                    quote = robust_premium_bilevel(scaled, cell, tariff)
                 except (RiskInfeasibleError, RiskError) as exc:
                     out.append(SweepRow(scale=scale, alpha=alpha,
                                         bound=bound,

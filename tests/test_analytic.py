@@ -186,6 +186,19 @@ def test_day_set_validation():
                       day_ids=("a", "b"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_day_set_rejects_non_finite(bad):
+    phi = np.array([0.5, 0.25, 0.25])
+    with pytest.raises(AnalyticError,
+                       match=r"likelihoods must be finite.* at index 2$"):
+        TypicalDaySet(np.array([0.5, 0.5, bad]), np.ones((3, 24)))
+    demand = np.ones((3, 24))
+    demand[1, 7] = bad
+    with pytest.raises(AnalyticError,
+                       match=r"demand must be finite.* at index \(1, 7\)$"):
+        TypicalDaySet(phi, demand)
+
+
 def test_tariff_shape_errors():
     days = typical_days()
     policy = default_policy()

@@ -4,13 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evcs_premium.analytic import (
     PolicyFactors,
     TypicalDaySet,
     closed_form_premium,
+    premium_multiplier_M,
 )
+from evcs_premium.backend import SENSE_GE, SENSE_LE, ConvexQP, solve_qp
 from evcs_premium.cvar import (
     PolicyBox,
     PremiumQuote,
@@ -303,6 +307,13 @@ def test_infeasible_station_raises():
         with pytest.raises(RiskInfeasibleError):
             solve_risk_averse_evcs(days, 0.1,
                                    _point_config(policy, alpha), tariff)
+    # with no penalty and no premium nothing is at stake: the floor itself
+    free = dataclasses.replace(policy, penalty=0.0)
+    floor = np.array([0.0, 1.0, 0.0, 2.0])
+    sol = solve_risk_averse_evcs(days, 0.0, _point_config(free, 0.5),
+                                 tariff, price_floor=floor)
+    assert_allclose(sol.charging_price, floor, rtol=0.0, atol=0.0)
+    assert sol.eta == 0.0
     heavy = PolicyFactors(p_attack=0.9, loading=0.5, risk_share=1.0,
                           history_coeff=0.0, attack_count=0, penalty=3.0)
     with pytest.raises(RiskError, match="no finite fixed point"):
@@ -332,3 +343,115 @@ def test_configuration_validation():
         PremiumQuote(premium=100.0, per_kwh=3.0, charging_price=np.ones(24),
                      bound_mode="expected", alpha=1.0, trace=(), iterations=1,
                      solution=None, kkt_max_residual=0.0, total_demand=10.0)
+
+
+def _reference_prices(days, x_hat, config, tariff, floor):
+    """The price program as the generic QP, solved by the backend's
+    interior-point solver; returns its status, the prices and a.
+
+    For 0 < alpha < 1 the variables are (lambda, v', zeta'):
+
+        min ||lambda||^2  s.t.  v' + phi.zeta' <= 0,
+        alpha zeta'^s + v' + m d^s.lambda / d_ref >= a^s / d_ref,
+        zeta' >= 0, lambda >= floor.
+
+    At alpha = 1 the pair (v', zeta') has a cost-free recession ray that
+    stalls the interior point, so the tail collapses to the expectation
+    row E[c] <= 0; at alpha = 0 it is the worst-case epigraph over
+    (lambda, v') with v' <= 0.
+    """
+    policy = config.resolved_policy()
+    m = premium_multiplier_M(policy)
+    d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
+    n_day, n_hour = d.shape
+    tar = np.broadcast_to(tariff, d.shape)
+    a = np.array([worst_case_scenario_cost(
+        d[s], np.zeros(n_hour), tar[s], x_hat, policy.p_attack,
+        policy.risk_share, policy.penalty_cents_per_kw())
+        for s in range(n_day)])
+    d_ref = max(float(d.sum(axis=1).mean()), 1e-9)
+    q_lam = np.full(n_hour, 2.0)
+    if alpha == 1.0:
+        qp = ConvexQP.from_dense(q_lam, np.zeros(n_hour),
+                                 (m * (phi @ d) / d_ref)[None, :], [SENSE_GE],
+                                 np.array([phi @ a / d_ref]), floor, None)
+    elif alpha == 0.0:
+        rows = np.hstack([m * d / d_ref, np.ones((n_day, 1))])
+        qp = ConvexQP.from_dense(
+            np.append(q_lam, 0.0), np.zeros(n_hour + 1), rows,
+            [SENSE_GE] * n_day, a / d_ref, np.append(floor, -np.inf),
+            np.append(np.full(n_hour, np.inf), 0.0))
+    else:
+        n = n_hour + 1 + n_day
+        rows = np.zeros((1 + n_day, n))
+        rows[0, n_hour] = 1.0
+        rows[0, n_hour + 1:] = phi
+        rows[1:, :n_hour] = m * d / d_ref
+        rows[1:, n_hour] = 1.0
+        rows[1:, n_hour + 1:] = alpha * np.eye(n_day)
+        qp = ConvexQP.from_dense(
+            np.concatenate([q_lam, np.zeros(1 + n_day)]), np.zeros(n), rows,
+            [SENSE_LE] + [SENSE_GE] * n_day,
+            np.concatenate([[0.0], a / d_ref]),
+            np.concatenate([floor, [-np.inf], np.zeros(n_day)]), None)
+    res = solve_qp(qp)
+    return res.status, (None if res.x is None else res.x[:n_hour]), a
+
+
+@st.composite
+def _price_programs(draw):
+    """Random price programs: S in 1..12, alpha at and near both ends,
+    demand from 1e-3 to 1e6 kW, zero or positive floors, and m = 0 in
+    one draw of ten. Sizes come from a seeded generator so they spread
+    evenly rather than gather at the strategies' boundary values."""
+    alpha = draw(st.sampled_from([0.0, 1e-9, "uniform", 1.0 - 1e-9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_day = int(rng.integers(1, 13))
+    n_hour = int(rng.integers(1, 25))
+    if alpha == "uniform":
+        alpha = float(rng.uniform(0.0, 1.0))
+    phi = rng.dirichlet(np.ones(n_day))
+    demand = (10.0 ** rng.uniform(-3.0, 6.0)
+              * rng.uniform(0.0, 1.0, size=(n_day, n_hour)))
+    if n_day > 1 and rng.uniform() < 0.2:
+        demand[rng.integers(n_day)] = 0.0
+    tariff = rng.uniform(-1.0, 6.0, size=(n_day, n_hour))
+    m_zero = rng.uniform() < 0.1
+    policy = PolicyFactors(
+        p_attack=1.0 if m_zero else float(rng.uniform(0.0, 1.0)),
+        loading=0.1, risk_share=0.0 if m_zero else float(rng.uniform()),
+        history_coeff=0.0, attack_count=0,
+        penalty=float(rng.uniform(0.0, 5.0)))
+    floor = np.zeros(n_hour)
+    if rng.uniform() < 0.5:
+        floor = rng.uniform(0.0, 4.0, size=n_hour) \
+            * (rng.uniform(size=n_hour) < 0.5)
+    return (TypicalDaySet(phi / phi.sum(), demand), float(rng.uniform(0, 3)),
+            _point_config(policy, alpha), tariff, floor)
+
+
+@given(_price_programs())
+def test_cutting_planes_match_interior_point_reference(program):
+    days, x_hat, config, tariff, floor = program
+    status, ref, a = _reference_prices(days, x_hat, config, tariff, floor)
+    policy = config.resolved_policy()
+    if (premium_multiplier_M(policy) == 0.0
+            and cvar_sup(a, days.likelihood, config.alpha) > 0.0):
+        assert status == "infeasible"
+        with pytest.raises(RiskInfeasibleError):
+            solve_risk_averse_evcs(days, x_hat, config, tariff,
+                                   price_floor=floor)
+        return
+    assert status == "optimal"
+    sol = solve_risk_averse_evcs(days, x_hat, config, tariff,
+                                 price_floor=floor)
+    lam = sol.charging_price
+    # relative to the price level, compared absolutely below 1 cent/kWh
+    assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+    families = dict(kkt_report(sol, days, x_hat, config, tariff).families)
+    if floor.any():
+        # beta belongs to lambda >= floor: complementarity against floor
+        del families["comp_lambda"]
+        gap = sol.beta * (lam - floor)
+        assert np.all(np.abs(gap) <= 1e-6 * (1.0 + sol.beta + lam))
+    assert max(families.values()) <= 1e-6
