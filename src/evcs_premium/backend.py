@@ -10,11 +10,17 @@ dual conventions in one place:
   variable bounds.
 
 LPs (the OPF programs) are handed to scipy's HiGHS interface, whose marginals
-already follow this convention. QPs (diagonal positive semidefinite Hessian
-only) are solved by a dense Mehrotra predictor-corrector interior point
-method followed by an active-set least-squares polish; row feasibility is
-certified up front with an LP phase so infeasibility never has to be
-inferred from IPM divergence. The package's own price program has a
+already follow this convention. Splitting an LP by sense, bounding it and
+certifying its solution all work on its sparse matrix with array
+operations, so an LP stacked from many small blocks costs no Python work
+per row; :func:`certify` also reports the residuals of each block of such
+an LP as if it had been solved alone.
+
+QPs (diagonal positive semidefinite Hessian only) are solved by a dense
+Mehrotra predictor-corrector interior point method followed by an
+active-set least-squares polish; row feasibility is certified up front
+with an LP phase so infeasibility never has to be inferred from IPM
+divergence. The package's own price program has a
 dedicated exact solver in :mod:`evcs_premium.cvar`; :func:`solve_qp` stays
 as the generic reference that solver is tested against.
 """
@@ -100,10 +106,10 @@ class LinearProgram:
     def num_rows(self):
         return self.rhs.size
 
-    def dense_rows(self):
-        a = np.zeros((self.num_rows, self.num_vars))
-        a[self.row_idx, self.col_idx] = self.values
-        return a
+    def matrix(self):
+        """The constraint rows as a sparse CSR matrix."""
+        return sp.csr_matrix((self.values, (self.row_idx, self.col_idx)),
+                             shape=(self.num_rows, self.num_vars))
 
 
 @dataclass
@@ -134,7 +140,7 @@ class ConvexQP:
         return cls(q, lp.cost, lp.row_idx, lp.col_idx, lp.values, lp.senses,
                    lp.rhs, lp.lower, lp.upper)
 
-    dense_rows = LinearProgram.dense_rows
+    matrix = LinearProgram.matrix
     num_vars = LinearProgram.num_vars
     num_rows = LinearProgram.num_rows
 
@@ -155,80 +161,101 @@ class SolveResult:
     message: str = ""
 
 
-def _row_slacks(a, senses, rhs, x):
+@dataclass(frozen=True)
+class Certificate:
+    """KKT residuals of a solved program in the reported dual convention.
+
+    Every field holds one entry per block (see :func:`certify`);
+    ``cost_scale`` is 1 + max |cost| over the block's variables.
+    """
+
+    objective: np.ndarray
+    primal_infeasibility: np.ndarray
+    dual_infeasibility: np.ndarray
+    duality_gap: np.ndarray
+    comp_slack: np.ndarray
+    cost_scale: np.ndarray
+
+    def lp_optimal(self, options: SolverOptions):
+        """Per block, whether an LP solution passes solve_lp's gates."""
+        tol = options.feas_tol
+        return ((self.primal_infeasibility <= tol)
+                & (self.dual_infeasibility <= tol * self.cost_scale)
+                & (self.duality_gap
+                   <= options.gap_tol * (1.0 + np.abs(self.objective))))
+
+
+def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
+    """KKT residuals of a primal-dual point of an LP or a ConvexQP.
+
+    The rows and the variables are cut into ``blocks`` equal consecutive
+    slices, and each entry of the result covers one slice: on a
+    block-diagonal program stacked from equal blocks these are the
+    residuals each block would have if solved alone. ``blocks=1`` covers
+    the whole program.
+    """
+    a = prob.matrix()
     ax = a @ x
-    slack = np.empty(len(senses))
-    for i, s in enumerate(senses):
-        if s == SENSE_LE:
-            slack[i] = rhs[i] - ax[i]
-        elif s == SENSE_GE:
-            slack[i] = ax[i] - rhs[i]
-        else:
-            slack[i] = 0.0
-    return ax, slack
+    senses = np.asarray(prob.senses, dtype=str)
+    eq = senses == SENSE_EQ
+    slack = np.where(senses == SENSE_LE, prob.rhs - ax, ax - prob.rhs)
+    row_viol = np.where(eq, np.abs(slack), np.maximum(-slack, 0.0))
+    slack[eq] = 0.0
+    bound_viol = np.maximum(np.maximum(prob.lower - x, x - prob.upper), 0.0)
 
-
-def _residuals(q_diag, cost, prob, x, duals, red_lo, red_up):
-    """Common KKT residual bookkeeping in the reported dual convention."""
-    a = prob.dense_rows()
-    ax, slack = _row_slacks(a, prob.senses, prob.rhs, x)
-    viol = 0.0
-    for i, s in enumerate(prob.senses):
-        if s == SENSE_EQ:
-            viol = max(viol, abs(ax[i] - prob.rhs[i]))
-        else:
-            viol = max(viol, max(0.0, -slack[i]))
-    viol = max(viol, float(np.max(np.maximum(prob.lower - x, 0.0), initial=0.0)))
-    viol = max(viol, float(np.max(np.maximum(x - prob.upper, 0.0), initial=0.0)))
-
-    grad = q_diag * x + cost if q_diag is not None else cost.copy()
+    q = getattr(prob, "q_diag", None)
+    quad = 0.0 if q is None else 0.5 * q * x * x
+    grad = prob.cost if q is None else q * x + prob.cost
     stat = grad - a.T @ duals - red_lo - red_up
-    dual_inf = float(np.max(np.abs(stat), initial=0.0))
-
-    comp = float(np.sum(np.abs(duals * slack)))
-
-    obj = float(0.5 * np.sum(q_diag * x * x) + cost @ x) if q_diag is not None \
-        else float(cost @ x)
     # Lagrangian dual value at the reported multipliers:
     # duals.rhs - 0.5 x Q x + reduced costs paired with their finite bounds.
-    dual_obj = float(duals @ prob.rhs)
-    if q_diag is not None:
-        dual_obj -= float(0.5 * np.sum(q_diag * x * x))
-    finite_lo = np.isfinite(prob.lower)
-    finite_up = np.isfinite(prob.upper)
-    dual_obj += float(red_lo[finite_lo] @ prob.lower[finite_lo])
-    dual_obj += float(red_up[finite_up] @ prob.upper[finite_up])
-    gap = abs(obj - dual_obj)
-    return obj, viol, dual_inf, gap, comp
+    lo = np.where(np.isfinite(prob.lower), prob.lower, 0.0)
+    up = np.where(np.isfinite(prob.upper), prob.upper, 0.0)
+
+    def by_block(v):
+        return np.reshape(v, (blocks, -1))
+
+    obj = by_block(quad + prob.cost * x).sum(axis=1)
+    dual_obj = (by_block(duals * prob.rhs).sum(axis=1)
+                + by_block(red_lo * lo + red_up * up - quad).sum(axis=1))
+    return Certificate(
+        objective=obj,
+        primal_infeasibility=np.maximum(
+            by_block(row_viol).max(axis=1, initial=0.0),
+            by_block(bound_viol).max(axis=1, initial=0.0)),
+        dual_infeasibility=np.abs(by_block(stat)).max(axis=1, initial=0.0),
+        duality_gap=np.abs(obj - dual_obj),
+        comp_slack=np.abs(by_block(duals * slack)).sum(axis=1),
+        cost_scale=1.0 + np.abs(by_block(prob.cost)).max(axis=1, initial=0.0))
+
+
+def _result(status, x, duals, red_lo, red_up, cert, iterations):
+    """SolveResult carrying the whole-program certificate."""
+    return SolveResult(
+        status, x, float(cert.objective[0]), duals, red_lo, red_up,
+        primal_infeasibility=float(cert.primal_infeasibility[0]),
+        dual_infeasibility=float(cert.dual_infeasibility[0]),
+        duality_gap=float(cert.duality_gap[0]),
+        comp_slack=float(cert.comp_slack[0]), iterations=iterations)
 
 
 def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveResult:
     """Solve an LP with HiGHS, returning sensitivity-convention duals."""
     opts = options or SolverOptions()
-    n, m = lp.num_vars, lp.num_rows
-    a = sp.csr_matrix((lp.values, (lp.row_idx, lp.col_idx)), shape=(m, n))
-
-    eq_pos, ub_pos, ub_sign = [], [], []
-    for i, s in enumerate(lp.senses):
-        if s == SENSE_EQ:
-            eq_pos.append(i)
-        else:
-            ub_pos.append(i)
-            ub_sign.append(1.0 if s == SENSE_LE else -1.0)
-    eq_pos = np.array(eq_pos, dtype=int)
-    ub_pos = np.array(ub_pos, dtype=int)
-    ub_sign = np.array(ub_sign)
+    a = lp.matrix()
+    senses = np.asarray(lp.senses, dtype=str)
+    eq_pos = np.flatnonzero(senses == SENSE_EQ)
+    ub_pos = np.flatnonzero(senses != SENSE_EQ)
+    ub_sign = np.where(senses[ub_pos] == SENSE_LE, 1.0, -1.0)
 
     a_eq = a[eq_pos] if eq_pos.size else None
     b_eq = lp.rhs[eq_pos] if eq_pos.size else None
     a_ub = sp.diags(ub_sign) @ a[ub_pos] if ub_pos.size else None
     b_ub = ub_sign * lp.rhs[ub_pos] if ub_pos.size else None
 
-    bounds = [(lo if np.isfinite(lo) else None, up if np.isfinite(up) else None)
-              for lo, up in zip(lp.lower, lp.upper)]
-
     res = linprog(lp.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+                  bounds=np.column_stack([lp.lower, lp.upper]),
+                  method="highs")
     if res.status == 2:
         return SolveResult("infeasible", None, None, None, None, None,
                            message=res.message)
@@ -239,7 +266,7 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveRe
         return SolveResult("numerical", None, None, None, None, None,
                            message=res.message)
 
-    duals = np.zeros(m)
+    duals = np.zeros(lp.num_rows)
     if eq_pos.size:
         duals[eq_pos] = res.eqlin.marginals
     if ub_pos.size:
@@ -247,17 +274,10 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveRe
     red_lo = np.asarray(res.lower.marginals, dtype=float)
     red_up = np.asarray(res.upper.marginals, dtype=float)
 
-    obj, viol, dinf, gap, comp = _residuals(None, lp.cost, lp, res.x,
-                                            duals, red_lo, red_up)
-    status = "optimal"
-    cost_scale = 1.0 + float(np.max(np.abs(lp.cost), initial=0.0))
-    if (viol > opts.feas_tol or dinf > opts.feas_tol * cost_scale
-            or gap > opts.gap_tol * (1.0 + abs(obj))):
-        status = "numerical"
-    return SolveResult(status, res.x, obj, duals, red_lo, red_up,
-                       primal_infeasibility=viol, dual_infeasibility=dinf,
-                       duality_gap=gap, comp_slack=comp,
-                       iterations=int(getattr(res, "nit", 0)))
+    cert = certify(lp, res.x, duals, red_lo, red_up)
+    status = "optimal" if cert.lp_optimal(opts)[0] else "numerical"
+    return _result(status, res.x, duals, red_lo, red_up, cert,
+                   int(getattr(res, "nit", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +290,7 @@ def _canonical_ineq(qp):
     Returns (E, f, G, h, tags) where tags maps each G row back to its origin:
     ("row", i, sign), ("lower", j) or ("upper", j).
     """
-    a = qp.dense_rows()
+    a = qp.matrix().toarray()
     e_rows, f_vals, g_rows, h_vals, tags = [], [], [], [], []
     for i, s in enumerate(qp.senses):
         if s == SENSE_EQ:
@@ -467,12 +487,10 @@ def solve_qp(qp: ConvexQP, options: SolverOptions | None = None) -> SolveResult:
         else:
             red_up[idx] = val
 
-    obj, viol, dinf, gap, comp = _residuals(qp.q_diag, qp.cost, qp, x,
-                                            duals, red_lo, red_up)
+    cert = certify(qp, x, duals, red_lo, red_up)
+    scale = abs(cert.objective[0]) + cert.cost_scale[0]
     status = "optimal"
-    scale = 1.0 + abs(obj) + float(np.max(np.abs(qp.cost), initial=0.0))
-    if viol > opts.feas_tol * scale or dinf > 1e-8 * scale:
+    if not (cert.primal_infeasibility[0] <= opts.feas_tol * scale
+            and cert.dual_infeasibility[0] <= 1e-8 * scale):
         status = "numerical"
-    return SolveResult(status, x, obj, duals, red_lo, red_up,
-                       primal_infeasibility=viol, dual_infeasibility=dinf,
-                       duality_gap=gap, comp_slack=comp, iterations=iters)
+    return _result(status, x, duals, red_lo, red_up, cert, iters)

@@ -301,6 +301,11 @@ def _day_tariff(days: TypicalDaySet, tariff):
         raise RiskError(
             f"tariff shape {tar.shape} incompatible with demand "
             f"{days.demand_kw.shape}")
+    finite = np.isfinite(tar)
+    if not finite.all():
+        s, t = np.argwhere(~finite)[0]
+        raise RiskError(f"tariff must be finite: day index {s} hour {t + 1} "
+                        f"is {tar[s, t]!r}")
     return tar
 
 

@@ -8,6 +8,13 @@ theta, flows f):
           z_l f_l - theta_o(l) + theta_r(l) = 0              (flow, per line)
           0 <= g <= Gcap,   -Fcap <= f <= Fcap,   theta_ref = 0
 
+Every hour shares one constraint block, built once per network; only the
+bus demand (the right-hand side) and the generator costs change. A day's
+24 hour-separable LPs are stacked on the diagonal of one LP and solved in
+a single call, and each hour is still gated at its own scale as if it had
+been solved alone. Only a day that cannot be served is solved again hour
+by hour, to name the first hour no dispatch can serve.
+
 The DLMP at a bus is the sensitivity dual of its balance row. The remaining
 duals are reported in the sign convention of the stationarity identities
 checked by :func:`dual_feasibility_check`:
@@ -22,13 +29,16 @@ with xi_l = -z_l times the flow-row dual, and all of alpha/delta nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .backend import (
     SENSE_EQ,
     LinearProgram,
     SolverOptions,
+    certify,
     solve_lp,
 )
 
@@ -52,10 +62,6 @@ class Generator:
     bus: int
     cost: object  # $/MWh, scalar or a 24-vector hourly series
     capacity: float
-
-    def cost_at(self, t):
-        c = np.asarray(self.cost, dtype=float)
-        return float(c) if c.ndim == 0 else float(c[t])
 
     def cost_profile(self):
         c = np.asarray(self.cost, dtype=float)
@@ -88,26 +94,33 @@ class Network:
         for ln in self.lines:
             if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
                 raise DcopfError(f"line {ln} references unknown bus")
-            if ln.reactance <= 0:
-                raise DcopfError(f"line {ln} must have positive reactance")
-            if ln.limit <= 0:
-                raise DcopfError(f"line {ln} must have positive flow limit")
-        for g in self.generators:
+            if not (np.isfinite(ln.reactance) and ln.reactance > 0):
+                raise DcopfError(
+                    f"line {ln} must have finite positive reactance")
+            if not (np.isfinite(ln.limit) and ln.limit > 0):
+                raise DcopfError(
+                    f"line {ln} must have finite positive flow limit")
+        for i, g in enumerate(self.generators):
             if g.bus not in bus_set:
                 raise DcopfError(f"generator {g} references unknown bus")
-            if g.capacity < 0:
-                raise DcopfError(f"generator {g} must have capacity >= 0")
-            g.cost_profile()
+            if not (np.isfinite(g.capacity) and g.capacity >= 0):
+                raise DcopfError(
+                    f"generator {i} at bus {g.bus} must have finite capacity "
+                    f">= 0, got {g.capacity!r}")
+            _check_finite(g.cost_profile(),
+                          f"cost of generator {i} at bus {g.bus}")
         if self.evcs_bus not in bus_set:
             raise DcopfError(f"EVCS bus {self.evcs_bus} not in network")
         for day, by_bus in self.base_demand.items():
             for b, series in by_bus.items():
                 if b not in bus_set:
                     raise DcopfError(f"demand day {day} references unknown bus {b}")
-                if np.asarray(series, dtype=float).shape != (HOURS,):
+                series = np.asarray(series, dtype=float)
+                if series.shape != (HOURS,):
                     raise DcopfError(
                         f"demand series for day {day} bus {b} must have "
                         f"{HOURS} entries")
+                _check_finite(series, f"demand of day {day!r} at bus {b}")
         if not self._connected():
             raise DcopfError("network graph is not connected")
 
@@ -146,91 +159,78 @@ class Network:
     def days(self):
         return tuple(sorted(self.base_demand))
 
+    @cached_property
+    def _hour_block(self):
+        """The constraint block shared by every hour of every day.
+
+        Cached in the instance dict, which the frozen dataclass leaves
+        writable; every field it reads is immutable after validation.
+        """
+        idx = self.bus_index()
+        n_g, n_b, n_l = len(self.generators), len(self.buses), len(self.lines)
+        gen_bus = np.array([idx[g.bus] for g in self.generators], dtype=int)
+        frm = np.array([idx[ln.from_bus] for ln in self.lines], dtype=int)
+        to = np.array([idx[ln.to_bus] for ln in self.lines], dtype=int)
+        z = np.array([ln.reactance for ln in self.lines], dtype=float)
+        fcap = np.array([ln.limit for ln in self.lines], dtype=float)
+        gcap = np.array([g.capacity for g in self.generators], dtype=float)
+        f_col = n_g + n_b + np.arange(n_l)
+        flow_row = n_b + np.arange(n_l)
+        one = np.ones(n_l)
+        # balance rows: own units, inflow at the receiving bus, outflow at
+        # the sending bus; flow rows: z_l f_l - theta_o + theta_r
+        rows = np.concatenate([gen_bus, to, frm, flow_row, flow_row, flow_row])
+        cols = np.concatenate([np.arange(n_g), f_col, f_col, f_col,
+                               n_g + frm, n_g + to])
+        vals = np.concatenate([np.ones(n_g), one, -one, z, -one, one])
+        lower = np.concatenate([np.zeros(n_g), np.full(n_b, -np.inf), -fcap])
+        upper = np.concatenate([gcap, np.full(n_b, np.inf), fcap])
+        lower[n_g] = upper[n_g] = 0.0  # angle of the reference bus, buses[0]
+        return HourBlock(
+            matrix=sp.csr_matrix((vals, (rows, cols)),
+                                 shape=(n_b + n_l, n_g + n_b + n_l)),
+            lower=lower, upper=upper,
+            cost=np.array([g.cost_profile() for g in self.generators]
+                          ).reshape(n_g, HOURS),
+            reactance=z)
+
+
+def _check_finite(values, what):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DcopfError(
+            f"{what} must be finite, hour {bad[0] + 1} is {values[bad[0]]!r}")
+
 
 @dataclass(frozen=True)
-class HourIndex:
-    """Variable layout of one hour's LP: [g | theta | f]."""
+class HourBlock:
+    """One hour's LP over [g | theta | f] with rows [balance | flow].
 
-    n_gen: int
-    n_bus: int
-    n_line: int
+    The right-hand side is the bus demand over the balance rows and zero
+    over the flow rows; the hour's cost is ``cost[:, t]`` on g and zero on
+    theta and f.
+    """
 
-    @property
-    def g(self):
-        return slice(0, self.n_gen)
-
-    @property
-    def theta(self):
-        return slice(self.n_gen, self.n_gen + self.n_bus)
-
-    @property
-    def f(self):
-        return slice(self.n_gen + self.n_bus,
-                     self.n_gen + self.n_bus + self.n_line)
-
-    @property
-    def n_vars(self):
-        return self.n_gen + self.n_bus + self.n_line
-
-    # row layout: [balance (per bus) | flow (per line)]
-    @property
-    def balance_rows(self):
-        return slice(0, self.n_bus)
-
-    @property
-    def flow_rows(self):
-        return slice(self.n_bus, self.n_bus + self.n_line)
+    matrix: sp.csr_matrix   # (n_bus + n_line, n_gen + n_bus + n_line)
+    lower: np.ndarray
+    upper: np.ndarray
+    cost: np.ndarray        # (n_gen, 24) $/MWh
+    reactance: np.ndarray   # (n_line,)
 
 
-def build_hour_lp(network: Network, demand_mw, t):
-    """Assemble one hour's LP; demand_mw is the per-bus MW vector."""
-    idx = network.bus_index()
-    n_g = len(network.generators)
-    n_b = len(network.buses)
-    n_l = len(network.lines)
-    layout = HourIndex(n_g, n_b, n_l)
-
-    cost = np.zeros(layout.n_vars)
-    for i, gen in enumerate(network.generators):
-        cost[i] = gen.cost_at(t)
-
-    ri, ci, vals = [], [], []
-
-    def add(r, c, v):
-        ri.append(r)
-        ci.append(c)
-        vals.append(v)
-
-    for i, gen in enumerate(network.generators):
-        add(idx[gen.bus], i, 1.0)
-    for li, ln in enumerate(network.lines):
-        fcol = layout.n_gen + layout.n_bus + li
-        add(idx[ln.to_bus], fcol, 1.0)     # inflow at receiving bus
-        add(idx[ln.from_bus], fcol, -1.0)  # outflow at sending bus
-        row = n_b + li
-        add(row, fcol, ln.reactance)
-        add(row, layout.n_gen + idx[ln.from_bus], -1.0)
-        add(row, layout.n_gen + idx[ln.to_bus], 1.0)
-
-    rhs = np.concatenate([np.asarray(demand_mw, dtype=float), np.zeros(n_l)])
-    senses = [SENSE_EQ] * (n_b + n_l)
-
-    lower = np.full(layout.n_vars, -np.inf)
-    upper = np.full(layout.n_vars, np.inf)
-    for i, gen in enumerate(network.generators):
-        lower[i] = 0.0
-        upper[i] = gen.capacity
-    ref_col = layout.n_gen + idx[network.reference_bus]
-    lower[ref_col] = 0.0
-    upper[ref_col] = 0.0
-    for li, ln in enumerate(network.lines):
-        fcol = layout.n_gen + layout.n_bus + li
-        lower[fcol] = -ln.limit
-        upper[fcol] = ln.limit
-
-    lp = LinearProgram(cost, np.array(ri), np.array(ci), np.array(vals),
-                       senses, rhs, lower, upper)
-    return lp, layout
+def _stacked_lp(block, demand, cost):
+    """The LP of the hours in the columns of demand (n_bus, k) and cost
+    (n_gen, k): k copies of the hour block on the diagonal, hour-major."""
+    k = demand.shape[1]
+    n_rows, n_vars = block.matrix.shape
+    a = sp.kron(sp.identity(k), block.matrix, format="coo")
+    rhs = np.zeros((k, n_rows))
+    rhs[:, :demand.shape[0]] = demand.T
+    c = np.zeros((k, n_vars))
+    c[:, :cost.shape[0]] = cost.T
+    return LinearProgram(c.ravel(), a.row, a.col, a.data,
+                         [SENSE_EQ] * (k * n_rows), rhs.ravel(),
+                         np.tile(block.lower, k), np.tile(block.upper, k))
 
 
 @dataclass(frozen=True)
@@ -253,136 +253,87 @@ class DlmpResult:
     hourly_cost: np.ndarray = field(default=None, repr=False)
 
 
-def _extract_hour(network, res, layout):
-    g = res.x[layout.g]
-    theta = res.x[layout.theta]
-    f = res.x[layout.f]
-    lam = res.duals[layout.balance_rows]
-    y_flow = res.duals[layout.flow_rows]
-    z = np.array([ln.reactance for ln in network.lines])
-    xi = -z * y_flow
-    alpha_up = -res.reduced_upper[layout.g]
-    alpha_lo = res.reduced_lower[layout.g]
-    delta_up = -res.reduced_upper[layout.f]
-    delta_lo = res.reduced_lower[layout.f]
-    return g, theta, f, lam, xi, alpha_up, alpha_lo, delta_up, delta_lo
-
-
 def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
-                joint=False, options: SolverOptions | None = None):
+                options: SolverOptions | None = None):
     """Solve one typical day's OPF and extract DLMPs.
 
     evcs_demand_mw: optional 24-vector added to the EVCS bus demand.
-    joint=True solves the 24 hours as one stacked LP instead of hour by hour;
-    the two paths agree to solver tolerance (hour separability).
     """
     demand = network.demand_matrix(day)
     if evcs_demand_mw is not None:
         ev = np.asarray(evcs_demand_mw, dtype=float)
         if ev.shape != (HOURS,):
             raise DcopfError(f"EVCS demand must have {HOURS} hourly entries")
+        _check_finite(ev,
+                      f"day {day!r}: EVCS demand at bus {network.evcs_bus}")
         if np.any(ev < 0):
             raise DcopfError("EVCS demand must be nonnegative")
-        demand = demand.copy()
         demand[network.bus_index()[network.evcs_bus]] += ev
 
-    n_g, n_b, n_l = (len(network.generators), len(network.buses),
-                     len(network.lines))
-    dispatch = np.zeros((n_g, HOURS))
-    angles = np.zeros((n_b, HOURS))
-    flows = np.zeros((n_l, HOURS))
-    dlmp = np.zeros((n_b, HOURS))
-    alpha_up = np.zeros((n_g, HOURS))
-    alpha_lo = np.zeros((n_g, HOURS))
-    xi = np.zeros((n_l, HOURS))
-    delta_up = np.zeros((n_l, HOURS))
-    delta_lo = np.zeros((n_l, HOURS))
-    hourly_cost = np.zeros(HOURS)
-
-    if joint:
-        results = _solve_day_joint(network, demand, options)
-    else:
-        results = []
-        for t in range(HOURS):
-            lp, layout = build_hour_lp(network, demand[:, t], t)
-            res = solve_lp(lp, options)
-            if res.status == "infeasible":
-                raise DcopfError(
-                    f"day {day!r}: demand not servable, first binding hour "
-                    f"{t + 1} (demand {demand[:, t].sum():.3f} MW)")
-            if res.status != "optimal":
-                raise DcopfError(
-                    f"day {day!r} hour {t + 1}: solver status {res.status}")
-            results.append((res, layout))
-
-    gcap = np.array([g.capacity for g in network.generators])
-    fcap = np.array([ln.limit for ln in network.lines])
-    c_dll = 0.0
-    for t, (res, layout) in enumerate(results):
-        (dispatch[:, t], angles[:, t], flows[:, t], dlmp[:, t], xi[:, t],
-         alpha_up[:, t], alpha_lo[:, t], delta_up[:, t],
-         delta_lo[:, t]) = _extract_hour(network, res, layout)
-        hourly_cost[t] = res.objective
-        c_dll += (dlmp[:, t] @ demand[:, t] - alpha_up[:, t] @ gcap
-                  - (delta_up[:, t] + delta_lo[:, t]) @ fcap)
-
-    c_ll = float(hourly_cost.sum())
-
-    inflow = np.zeros((n_b, HOURS))
-    bus_of = network.bus_index()
-    for li, ln in enumerate(network.lines):
-        inflow[bus_of[ln.to_bus]] += flows[li]
-        inflow[bus_of[ln.from_bus]] -= flows[li]
-    gen_at = np.zeros((n_b, HOURS))
-    for i, gen in enumerate(network.generators):
-        gen_at[bus_of[gen.bus]] += dispatch[i]
-    residual = float(np.max(np.abs(gen_at + inflow - demand)))
-    if residual > 1e-7:
-        raise DcopfError(f"power balance residual {residual:g} exceeds 1e-7")
-    if abs(c_ll - c_dll) > 1e-8 * (1.0 + abs(c_ll)):
+    opts = options or SolverOptions()
+    block = network._hour_block
+    lp = _stacked_lp(block, demand, block.cost)
+    res = solve_lp(lp, opts)
+    if res.status == "infeasible":
+        raise _first_binding_hour(block, day, demand, opts)
+    if res.x is None:
+        raise DcopfError(f"day {day!r}: solver status {res.status}")
+    # the stacked LP passes solve_lp's gates at the scale of the whole day;
+    # each hour must pass them at its own
+    hours = certify(lp, res.x, res.duals, res.reduced_lower,
+                    res.reduced_upper, blocks=HOURS)
+    failed = np.flatnonzero(~hours.lp_optimal(opts))
+    if failed.size:
+        t = failed[0]
         raise DcopfError(
-            f"strong duality violated: C_LL={c_ll!r}, C_DLL={c_dll!r}")
+            f"day {day!r} hour {t + 1}: solution misses the optimality gates "
+            f"(primal {hours.primal_infeasibility[t]:g}, stationarity "
+            f"{hours.dual_infeasibility[t]:g}, gap {hours.duality_gap[t]:g})")
+
+    n_g, n_b = len(network.generators), len(network.buses)
+    x = res.x.reshape(HOURS, -1).T.copy()
+    y = res.duals.reshape(HOURS, -1).T.copy()
+    lo = res.reduced_lower.reshape(HOURS, -1).T.copy()
+    up = -res.reduced_upper.reshape(HOURS, -1).T.copy()
+    dispatch, angles, flows = np.split(x, [n_g, n_g + n_b])
+    dlmp = y[:n_b]
+    xi = -block.reactance[:, None] * y[n_b:]
+    alpha_up, alpha_lo = up[:n_g], lo[:n_g]
+    delta_up, delta_lo = up[n_g + n_b:], lo[n_g + n_b:]
+
+    gcap, fcap = block.upper[:n_g], block.upper[n_g + n_b:]
+    c_ll = float(hours.objective.sum())
+    c_dll = float(np.sum(dlmp * demand) - gcap @ alpha_up.sum(axis=1)
+                  - fcap @ (delta_up + delta_lo).sum(axis=1))
+    residual = float(np.max(np.abs(block.matrix[:n_b] @ x - demand)))
+    if not residual <= 1e-7:
+        raise DcopfError(
+            f"day {day!r}: power balance residual {residual:g} exceeds 1e-7")
+    if not abs(c_ll - c_dll) <= 1e-8 * (1.0 + abs(c_ll)):
+        raise DcopfError(
+            f"day {day!r}: strong duality violated: C_LL={c_ll!r}, "
+            f"C_DLL={c_dll!r}")
 
     return DlmpResult(day=day, dispatch=dispatch, angles=angles, flows=flows,
                       dlmp=dlmp, alpha_up=alpha_up, alpha_lo=alpha_lo, xi=xi,
                       delta_up=delta_up, delta_lo=delta_lo, c_ll=c_ll,
-                      c_dll=float(c_dll), balance_residual=residual,
-                      hourly_cost=hourly_cost)
+                      c_dll=c_dll, balance_residual=residual,
+                      hourly_cost=hours.objective)
 
 
-def _solve_day_joint(network, demand, options):
-    """One stacked LP over all 24 hours; returns per-hour (result, layout)."""
-    per_hour = [build_hour_lp(network, demand[:, t], t) for t in range(HOURS)]
-    layout = per_hour[0][1]
-    nv, nr = layout.n_vars, layout.n_bus + layout.n_line
-
-    cost = np.concatenate([lp.cost for lp, _ in per_hour])
-    rhs = np.concatenate([lp.rhs for lp, _ in per_hour])
-    lower = np.concatenate([lp.lower for lp, _ in per_hour])
-    upper = np.concatenate([lp.upper for lp, _ in per_hour])
-    senses = sum((lp.senses for lp, _ in per_hour), [])
-    ri = np.concatenate([lp.row_idx + t * nr for t, (lp, _) in enumerate(per_hour)])
-    ci = np.concatenate([lp.col_idx + t * nv for t, (lp, _) in enumerate(per_hour)])
-    vals = np.concatenate([lp.values for lp, _ in per_hour])
-
-    big = LinearProgram(cost, ri, ci, vals, senses, rhs, lower, upper)
-    res = solve_lp(big, options)
-    if res.status == "infeasible":
-        raise DcopfError("joint day LP infeasible")
-    if res.status != "optimal":
-        raise DcopfError(f"joint day LP status {res.status}")
-
-    out = []
-    from .backend import SolveResult
+def _first_binding_hour(block, day, demand, options):
+    """DcopfError naming the first hour of an infeasible day, found by
+    solving its hours one at a time, in order."""
     for t in range(HOURS):
-        vs = slice(t * nv, (t + 1) * nv)
-        rs = slice(t * nr, (t + 1) * nr)
-        sub = SolveResult(
-            "optimal", res.x[vs],
-            float(cost[vs] @ res.x[vs]), res.duals[rs],
-            res.reduced_lower[vs], res.reduced_upper[vs])
-        out.append((sub, layout))
-    return out
+        hour = slice(t, t + 1)
+        lp = _stacked_lp(block, demand[:, hour], block.cost[:, hour])
+        if solve_lp(lp, options).status == "infeasible":
+            return DcopfError(
+                f"day {day!r}: demand not servable, first binding hour "
+                f"{t + 1} (demand {demand[:, t].sum():.3f} MW)")
+    return DcopfError(
+        f"day {day!r}: the stacked day LP is infeasible, but each hour "
+        f"solves alone")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,42 @@ class TestSolveLp:
         assert np.array_equal(r1.duals, r2.duals)
         assert r1.objective == r2.objective
 
+    def test_block_certificate_matches_separate_solves(self):
+        # two mixed-sense LPs of equal size stacked on the diagonal
+        rng = np.random.default_rng(99)
+        senses = [SENSE_EQ, SENSE_EQ, SENSE_LE, SENSE_GE]
+        parts = []
+        for _ in range(2):
+            a, b, c = random_equality_lp(rng, m=4, n=8)
+            parts.append((a, b - np.array([0.0, 0.0, -0.5, 0.5]), c))
+        alone = [solve_lp(LinearProgram.from_dense(
+            c, a, senses, b, lower=np.zeros(8), upper=np.full(8, 50.0)))
+            for a, b, c in parts]
+        stacked = LinearProgram.from_dense(
+            np.concatenate([c for _, _, c in parts]),
+            np.block([[parts[0][0], np.zeros((4, 8))],
+                      [np.zeros((4, 8)), parts[1][0]]]),
+            senses * 2, np.concatenate([b for _, b, _ in parts]),
+            lower=np.zeros(16), upper=np.full(16, 50.0))
+        res = solve_lp(stacked)
+        assert res.status == "optimal"
+        cert = backend.certify(stacked, res.x, res.duals, res.reduced_lower,
+                               res.reduced_upper, blocks=2)
+        assert_allclose(cert.objective, [r.objective for r in alone],
+                        rtol=1e-9)
+        assert_allclose(cert.objective.sum(), res.objective, rtol=1e-12)
+        assert cert.lp_optimal(SolverOptions()).all()
+        whole = backend.certify(stacked, res.x, res.duals,
+                                res.reduced_lower, res.reduced_upper)
+        assert whole.primal_infeasibility[0] == res.primal_infeasibility
+        assert whole.dual_infeasibility[0] == res.dual_infeasibility
+        # a dual error in the second block fails that block only
+        duals = res.duals.copy()
+        duals[5] += 1e-3
+        bad = backend.certify(stacked, res.x, duals, res.reduced_lower,
+                              res.reduced_upper, blocks=2)
+        assert bad.lp_optimal(SolverOptions()).tolist() == [True, False]
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(BackendError):
             LinearProgram.from_dense([1.0, 2.0], [[1.0, 1.0]],

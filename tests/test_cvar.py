@@ -320,6 +320,17 @@ def test_infeasible_station_raises():
         robust_premium_bilevel(days, _point_config(heavy, 1.0), tariff)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tariff_hour_rejected(bad):
+    policy, days, tariff = _tiny_instance()
+    tariff[1, 0] = bad
+    config = _point_config(policy, 0.5)
+    with pytest.raises(RiskError, match="day index 1 hour 1 is"):
+        solve_risk_averse_evcs(days, 0.1, config, tariff)
+    with pytest.raises(RiskError, match="day index 1 hour 1 is"):
+        robust_premium_bilevel(days, config, tariff)
+
+
 def test_configuration_validation():
     policy = default_policy()
     box = PolicyBox.point(policy)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from evcs_premium import dcopf
 from evcs_premium.analytic import TypicalDaySet
+from evcs_premium.backend import SENSE_EQ, LinearProgram, solve_lp
 from evcs_premium.dcopf import (
     DcopfError,
     Generator,
@@ -19,6 +21,7 @@ from evcs_premium.dcopf import (
     solve_dcopf,
 )
 from evcs_premium.fixtures import manhattan7, typical_days
+from evcs_premium.units import kw_to_mw
 
 
 def _flat(value):
@@ -175,16 +178,80 @@ def test_slack_line_limit_increase_is_a_noop():
     assert_allclose(relaxed.c_ll, base.c_ll, rtol=1e-9)
 
 
-def test_joint_day_solve_matches_hourly():
+def _hour_reference(net, demand, t):
+    """Hour t's OPF LP built entry by entry and solved alone.
+
+    Returns the balance-row duals (the DLMPs) and the hour's cost.
+    """
+    idx = net.bus_index()
+    n_g, n_b, n_l = len(net.generators), len(net.buses), len(net.lines)
+    rows = np.zeros((n_b + n_l, n_g + n_b + n_l))
+    cost = np.zeros(n_g + n_b + n_l)
+    lower = np.full(n_g + n_b + n_l, -np.inf)
+    upper = np.full(n_g + n_b + n_l, np.inf)
+    for i, gen in enumerate(net.generators):
+        rows[idx[gen.bus], i] += 1.0
+        cost[i] = gen.cost_profile()[t]
+        lower[i], upper[i] = 0.0, gen.capacity
+    for li, ln in enumerate(net.lines):
+        f = n_g + n_b + li
+        rows[idx[ln.to_bus], f] += 1.0
+        rows[idx[ln.from_bus], f] -= 1.0
+        rows[n_b + li, f] = ln.reactance
+        rows[n_b + li, n_g + idx[ln.from_bus]] -= 1.0
+        rows[n_b + li, n_g + idx[ln.to_bus]] += 1.0
+        lower[f], upper[f] = -ln.limit, ln.limit
+    ref = n_g + idx[net.reference_bus]
+    lower[ref] = upper[ref] = 0.0
+    rhs = np.concatenate([demand[:, t], np.zeros(n_l)])
+    res = solve_lp(LinearProgram.from_dense(
+        cost, rows, [SENSE_EQ] * (n_b + n_l), rhs, lower, upper))
+    assert res.status == "optimal"
+    return res.duals[:n_b], res.objective
+
+
+def _assert_matches_hourly_reference(net, day, ev_mw=None):
+    res = solve_dcopf(net, day, ev_mw)
+    demand = net.demand_matrix(day)
+    if ev_mw is not None:
+        demand[net.bus_index()[net.evcs_bus]] += ev_mw
+    hours = [_hour_reference(net, demand, t) for t in range(24)]
+    dlmp = np.column_stack([lam for lam, _ in hours])
+    c_ll = sum(obj for _, obj in hours)
+    assert np.abs(res.dlmp - dlmp).max() <= 1e-9 * (1.0 + np.abs(dlmp).max())
+    assert abs(res.c_ll - c_ll) <= 1e-9 * (1.0 + abs(c_ll))
+
+
+def test_stacked_day_matches_hourly_reference():
     net = manhattan7()
-    days = typical_days()
-    from evcs_premium.units import kw_to_mw
-    ev = kw_to_mw(days.demand_kw[0])
-    hourly = solve_dcopf(net, days.day_ids[0], ev)
-    joint = solve_dcopf(net, days.day_ids[0], ev, joint=True)
-    assert abs(hourly.c_ll - joint.c_ll) <= 1e-9 * (1.0 + abs(hourly.c_ll))
-    scale = 1.0 + np.abs(hourly.dlmp).max()
-    assert np.abs(hourly.dlmp - joint.dlmp).max() <= 1e-9 * scale
+    for scale in (1.0, 1000.0):  # 1000x congests the fixture feeder
+        days = typical_days().scaled(scale)
+        for s, day in enumerate(days.day_ids):
+            _assert_matches_hourly_reference(net, day,
+                                             kw_to_mw(days.demand_kw[s]))
+    rng = np.random.default_rng(2718)
+    for k in range(4):
+        net = _random_network(rng, int(rng.integers(2, 11)),
+                              line_limit=1e4 if k == 0 else None)
+        _assert_matches_hourly_reference(net, "d1")
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The LPs dcopf hands to solve_lp, in call order."""
+    calls = []
+
+    def counting(lp, options=None):
+        calls.append(lp)
+        return solve_lp(lp, options)
+
+    monkeypatch.setattr(dcopf, "solve_lp", counting)
+    return calls
+
+
+def test_one_lp_per_day(lp_calls):
+    per_day_dlmps(manhattan7(), typical_days())
+    assert len(lp_calls) == 4
 
 
 def test_single_bus_tariff_is_the_marginal_cost():
@@ -224,6 +291,78 @@ def test_fixture_binding_sets_vary_by_day():
 def test_overscaled_demand_reports_first_binding_hour():
     with pytest.raises(DcopfError, match="not servable, first binding hour"):
         per_day_dlmps(manhattan7(), typical_days().scaled(2000.0))
+
+
+def test_unservable_hour_is_localized(lp_calls):
+    # 30 MW of base load, 100 MW of capacity: 80 MW more at hour 17 of
+    # the second day is the only demand no dispatch can serve
+    load = _flat(30.0)
+    net = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, 200.0),),
+                  generators=(Generator(1, 10.0, 100.0),),
+                  base_demand={d: {2: load} for d in ("d1", "d2", "d3")},
+                  evcs_bus=2)
+    demand_kw = np.zeros((3, 24))
+    demand_kw[1, 16] = 80e3
+    days = TypicalDaySet(likelihood=np.full(3, 1.0 / 3), demand_kw=demand_kw,
+                         day_ids=("d1", "d2", "d3"))
+    with pytest.raises(DcopfError) as err:
+        per_day_dlmps(net, days)
+    assert "day 'd2': demand not servable, first binding hour 17 " in str(
+        err.value)
+    # d1 whole, d2 whole, then d2's hours 1..17 one at a time; d3 never
+    assert [lp.num_rows // 3 for lp in lp_calls] == [24, 24] + [1] * 17
+
+
+def test_hour_missing_its_gates_is_named(monkeypatch):
+    # a dual error of 1e-3 $/MWh in hour 5 alone, far above its gate
+    def perturbed(lp, options=None):
+        res = solve_lp(lp, options)
+        res.duals[4 * lp.num_rows // 24] += 1e-3
+        return res
+
+    monkeypatch.setattr(dcopf, "solve_lp", perturbed)
+    with pytest.raises(DcopfError, match="day 'd1' hour 5: solution misses "
+                                         "the optimality gates"):
+        solve_dcopf(_two_bus(limit=200.0), "d1")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field, match", [
+    ("reactance", r"line Line\(from_bus=1, to_bus=2.*finite positive "
+                  r"reactance"),
+    ("limit", r"line Line\(from_bus=1, to_bus=2.*finite positive flow "
+              r"limit"),
+    ("capacity", "generator 0 at bus 1 must have finite capacity"),
+    ("cost", "cost of generator 0 at bus 1 must be finite, hour 1 "),
+    ("cost_series", "cost of generator 0 at bus 1 must be finite, hour 7 "),
+    ("demand", "demand of day 'd1' at bus 2 must be finite, hour 7 "),
+])
+def test_non_finite_network_data_rejected(field, match, bad):
+    line = {"reactance": 0.1, "limit": 200.0}
+    gen = {"cost": 10.0, "capacity": 100.0}
+    load = _flat(30.0)
+    if field in line:
+        line[field] = bad
+    elif field in gen:
+        gen[field] = bad
+    elif field == "cost_series":
+        gen["cost"] = _flat(10.0)
+        gen["cost"][6] = bad
+    else:
+        load[6] = bad
+    with pytest.raises(DcopfError, match=match):
+        Network(buses=(1, 2), lines=(Line(1, 2, **line),),
+                generators=(Generator(1, **gen),),
+                base_demand={"d1": {2: load}}, evcs_bus=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_evcs_demand_rejected(bad):
+    ev = _flat(1.0)
+    ev[3] = bad
+    with pytest.raises(DcopfError, match="day 'd1': EVCS demand at bus 2 "
+                                         "must be finite, hour 4 "):
+        solve_dcopf(_two_bus(limit=200.0), "d1", ev)
 
 
 def test_network_validation():
