@@ -240,7 +240,23 @@ def _result(status, x, duals, red_lo, red_up, cert, iterations):
 
 
 def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveResult:
-    """Solve an LP with HiGHS, returning sensitivity-convention duals."""
+    """Solve an LP with HiGHS, returning sensitivity-convention duals.
+
+    Raises BackendError naming the first NaN or infinite cost, matrix
+    entry or right-hand side, and the first NaN bound or infinite bound
+    on the wrong side (-inf lower and +inf upper bounds mean no bound).
+    """
+    for name, values, ok in (
+            ("cost", lp.cost, np.isfinite(lp.cost)),
+            ("matrix value", lp.values, np.isfinite(lp.values)),
+            ("right-hand side", lp.rhs, np.isfinite(lp.rhs)),
+            ("lower bound", lp.lower, lp.lower < np.inf),
+            ("upper bound", lp.upper, lp.upper > -np.inf)):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            where = (f"row {lp.row_idx[i]} column {lp.col_idx[i]}"
+                     if name == "matrix value" else f"index {i}")
+            raise BackendError(f"LP {name} at {where} is {float(values[i])!r}")
     opts = options or SolverOptions()
     a = lp.matrix()
     senses = np.asarray(lp.senses, dtype=str)

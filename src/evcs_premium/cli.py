@@ -186,8 +186,7 @@ def _cmd_premium_robust(args):
     network = _network_from(args)
     tariff = _tariff_from(args, network, days)
     config = _risk_from(args)
-    tol = args.tolerance if args.tolerance is not None else 1e-8
-    quote = robust_premium_bilevel(days, config, tariff, tol=tol)
+    quote = robust_premium_bilevel(days, config, tariff)
     os.makedirs(args.out, exist_ok=True)
     doc = _write_quote(args.out, quote)
     report_path = os.path.join(args.out, "kkt_report.txt")
@@ -270,8 +269,6 @@ def build_parser():
                         help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="random seed for simulation helpers")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the premium fixed-point tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smp", help="attack-chain probabilities")

@@ -7,8 +7,17 @@ cost nonpositive:
     min ||lambda||^2  s.t.  lambda >= floor,  CVaR_alpha(a - m D lambda) <= 0
 
 with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
-worst-case day cost. The insurer side is a one-dimensional fixed point
-x -> CL(lambda(x)) contracting at the composite rate C/M < 1.
+worst-case day cost. The insurer side is the premium fixed point
+x = f(x) = CL(lambda(x)), one core (premium_fixed_point) for the bi-level
+quote and for the tri-level principal, which adds a price floor. f is
+nondecreasing with slope below C/M < 1, and on a fixed active set lambda
+is affine in x, so f is piecewise affine: once the active set settles, a
+secant step through the last two iterates lands on the fixed point. The
+steps are safeguarded by the bracket the signs of g = f - x give (a
+secant step leaving it becomes the plain step x -> f(x)), and the damped
+plain step takes over after 50 iterations. Each price program starts its
+master from the active cuts of the previous one, valid inequalities of
+the new program, so it usually settles in one least-distance solve.
 
 The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
 holds exactly when w.c <= 0 for every vertex w of the risk envelope
@@ -176,10 +185,11 @@ class CvarSolution:
     cvar_value: float
     tilted_weights: np.ndarray   # varphi / eta (original weights if eta = 0)
     alpha: float
+    active_cuts: np.ndarray      # (k, S) risk-envelope vertices with y > 0
 
     def __post_init__(self):
         for name in ("charging_price", "zeta", "varphi", "mu", "beta",
-                     "tilted_weights"):
+                     "tilted_weights", "active_cuts"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         for name in ("zeta", "varphi", "mu", "beta"):
@@ -231,21 +241,21 @@ class PremiumQuote:
 def _tail_vertex(costs, weights, alpha):
     """Sort-and-fill maximizer of w.costs over Q_alpha.
 
-    Returns (w, key, last): the vertex, a hashable key naming it (its
-    fully weighted days and the day that fills the unit mass) and that
-    filling day, whose cost is the VaR level. The weights are computed
-    from the key alone, so a vertex found twice is bitwise the same.
-    alpha = 0 gives the one-hot vector on the worst day, alpha = 1 the
-    weights themselves (filled last by the cheapest day).
+    Returns (w, last): the vertex and the day that fills its unit mass,
+    whose cost is the VaR level. The weights are computed from the set of
+    fully weighted days and that filling day alone, so a vertex found
+    twice is bitwise the same. alpha = 0 gives the one-hot vector on the
+    worst day, alpha = 1 the weights themselves (filled last by the
+    cheapest day).
     """
     order = np.argsort(-costs, kind="stable")
     if alpha == 1.0:
-        return weights.copy(), (), int(order[-1])
+        return weights.copy(), int(order[-1])
     w = np.zeros(costs.size)
     if alpha == 0.0:
         last = int(order[0])
         w[last] = 1.0
-        return w, ((), last), last
+        return w, last
     caps = weights / alpha
     k = min(int(np.searchsorted(np.cumsum(caps[order]), 1.0)),
             costs.size - 1)
@@ -253,7 +263,7 @@ def _tail_vertex(costs, weights, alpha):
     last = int(order[k])
     w[full] = caps[full]
     w[last] = max(1.0 - w[full].sum(), 0.0)
-    return w, (tuple(full.tolist()), last), last
+    return w, last
 
 
 def cvar_sup(costs, weights, alpha):
@@ -273,7 +283,7 @@ def cvar_sup(costs, weights, alpha):
         raise RiskError("costs must be finite")
     if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-9:
         raise RiskError("weights must be a probability vector")
-    w, _, _ = _tail_vertex(costs, weights, alpha)
+    w, _ = _tail_vertex(costs, weights, alpha)
     return float(w @ costs)
 
 
@@ -367,17 +377,23 @@ def _least_distance(g, h):
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
-                           tariff, *, price_floor=None):
+                           tariff, *, price_floor=None, seed_cuts=None):
     """Minimum-norm charging prices keeping the alpha-tail cost nonpositive.
 
     tariff may be one (T,) schedule or a per-day (S, T) table in cents/kWh;
     x_hat is the premium surcharge in cents/kWh. price_floor, when given,
     is a per-hour lower bound on the price (used by the cutting scheme in
     the tri-level solver); the default is zero. With a nonzero floor the
-    beta multipliers belong to lambda >= floor, so the zero-price
-    complementarity family of kkt_report no longer applies to the result.
-    Solved exactly by cutting planes over the vertices of the risk
-    envelope (see the module docstring).
+    beta multipliers belong to lambda >= floor; pass the same floor to
+    kkt_report. Solved exactly by cutting planes over the vertices of the
+    risk envelope (see the module docstring).
+
+    seed_cuts, a (k, S) array of points of Q_alpha such as the
+    active_cuts of an earlier solution on the same days and alpha, enters
+    the first master problem. Every such w gives a valid inequality
+    w.(a - m D lambda) <= 0 of the program, so the optimum is unchanged;
+    when the seeds hold the optimal active set the program settles in
+    one master solve.
     """
     if x_hat < 0:
         raise RiskError(f"x_hat must be nonnegative, got {x_hat}")
@@ -402,6 +418,15 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
         raise RiskInfeasibleError(
             f"no nonnegative price satisfies the alpha={alpha} tail "
             f"constraint (m={m:g}); the station cannot break even")
+    seeds = np.zeros((0, n_day))
+    if seed_cuts is not None:
+        seeds = np.asarray(seed_cuts, dtype=float)
+        if seeds.ndim != 2 or seeds.shape[1] != n_day or not (
+                np.all(seeds >= 0.0)
+                and np.all(np.abs(seeds.sum(axis=1) - 1.0) <= 1e-9)
+                and np.all(alpha * seeds <= phi + 1e-9)):
+            raise RiskError(f"seed_cuts must be points of the alpha={alpha} "
+                            f"risk envelope over {n_day} days")
 
     # Cut rows are divided by a reference daily energy so the master stays
     # O(1) at any demand scale; their multipliers map back as y / d_ref.
@@ -412,25 +437,32 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     keys = set()
     lam = floor.copy()
     y = np.zeros(0)
+    fresh = seeds
     for _ in range(_MAX_CUT_ROUNDS):
+        for w in fresh:
+            if w.tobytes() not in keys:
+                keys.add(w.tobytes())
+                cuts.append(w)
+                rows.append(m * (w @ d) / d_ref)
+                rhs.append(float(w @ a) / d_ref)
+        if len(fresh):
+            lam, y = _least_distance(np.vstack(rows + [floor_rows]),
+                                     np.concatenate([rhs, floor[pos]]))
         costs = a - m * (d @ lam)
-        w, key, last = _tail_vertex(costs, phi, alpha)
+        w, last = _tail_vertex(costs, phi, alpha)
         # A repeated vertex is satisfied up to rounding by the master's
         # point; a nonpositive value means the point is feasible outright.
-        if key in keys or float(w @ costs) <= 0.0:
+        if w.tobytes() in keys or float(w @ costs) <= 0.0:
             break
-        keys.add(key)
-        cuts.append(w)
-        rows.append(m * (w @ d) / d_ref)
-        rhs.append(float(w @ a) / d_ref)
-        lam, y = _least_distance(np.vstack(rows + [floor_rows]),
-                                 np.concatenate([rhs, floor[pos]]))
+        fresh = [w]
     else:
         raise RiskError(
             f"price program cutting planes did not settle in "
             f"{_MAX_CUT_ROUNDS} rounds")
 
-    varphi = (y[:len(cuts)] / d_ref) @ np.array(cuts).reshape(-1, n_day)
+    cut_matrix = np.array(cuts).reshape(-1, n_day)
+    y_cut = y[:len(cuts)]
+    varphi = (y_cut / d_ref) @ cut_matrix
     eta = float(varphi.sum())
     mu = np.maximum(eta * phi - alpha * varphi, 0.0)
     beta = np.maximum(2.0 * lam - m * (varphi @ d), 0.0)
@@ -444,7 +476,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
                         varphi=varphi, mu=mu, beta=beta,
                         cvar_value=float(w @ costs), tilted_weights=tilted,
-                        alpha=alpha)
+                        alpha=alpha, active_cuts=cut_matrix[y_cut > 0.0])
 
 
 @dataclass(frozen=True)
@@ -464,26 +496,24 @@ class KktReport:
 
 
 def _rel(raw, scale):
-    return float(raw / (1.0 + scale))
+    """Largest raw / (1 + scale) over the entries of a family."""
+    return float(np.max(raw / (1.0 + scale)))
 
 
 def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
-               config: RiskConfig, tariff):
-    """Evaluate every optimality condition family at a returned solution."""
+               config: RiskConfig, tariff, *, price_floor=None):
+    """Evaluate every optimality condition family at a returned solution.
+
+    With a price_floor the price bound is lambda >= floor, so the price
+    nonnegativity and complementarity families use lambda - floor.
+    """
     if solution.alpha != config.alpha:
         raise RiskError("solution and config disagree on alpha")
-    policy = config.resolved_policy()
-    m, a = _cost_pieces(days, x_hat, policy, tariff)
-    d = days.demand_kw
-    phi = days.likelihood
-    alpha = config.alpha
-    lam = solution.charging_price
-    v = solution.v
-    zeta = solution.zeta
-    eta = solution.eta
-    varphi = solution.varphi
-    mu = solution.mu
-    beta = solution.beta
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
+    lam, zeta, varphi = solution.charging_price, solution.zeta, solution.varphi
+    v, eta, mu, beta = solution.v, solution.eta, solution.mu, solution.beta
+    above = lam if price_floor is None else lam - price_floor
 
     ctilde = a - m * (d @ lam)
     cvar_slack = v + phi @ zeta                  # <= 0
@@ -492,49 +522,54 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
     fam = {}
     fam["primal_cvar"] = _rel(max(0.0, cvar_slack),
                               abs(v) + float(np.abs(phi * zeta).sum()))
-    fam["primal_scenario"] = max(
-        _rel(max(0.0, day_slack[s]),
-             abs(ctilde[s]) + abs(v) + alpha * zeta[s])
-        for s in range(len(a)))
+    fam["primal_scenario"] = _rel(np.maximum(day_slack, 0.0),
+                                  np.abs(ctilde) + abs(v) + alpha * zeta)
     fam["primal_nonneg"] = max(
         _rel(max(0.0, float(-zeta.min(initial=0.0))), 0.0),
-        _rel(max(0.0, float(-lam.min(initial=0.0))), 0.0))
+        _rel(max(0.0, float(-above.min(initial=0.0))), 0.0))
     fam["dual_nonneg"] = _rel(
         max(0.0, -eta, float(-varphi.min(initial=0.0)),
             float(-mu.min(initial=0.0)), float(-beta.min(initial=0.0))), 0.0)
     fam["comp_cvar"] = _rel(abs(eta * cvar_slack), eta + abs(cvar_slack))
-    fam["comp_scenario"] = max(
-        _rel(abs(varphi[s] * day_slack[s]), varphi[s] + abs(day_slack[s]))
-        for s in range(len(a)))
-    fam["comp_zeta"] = max(
-        _rel(abs(mu[s] * zeta[s]), mu[s] + zeta[s]) for s in range(len(a)))
-    fam["comp_lambda"] = max(
-        _rel(abs(beta[t] * lam[t]), beta[t] + lam[t])
-        for t in range(lam.size))
-    fam["stat_zeta"] = max(
-        _rel(abs(eta * phi[s] - alpha * varphi[s] - mu[s]),
-             eta * phi[s] + alpha * varphi[s] + mu[s])
-        for s in range(len(a)))
+    fam["comp_scenario"] = _rel(np.abs(varphi * day_slack),
+                                varphi + np.abs(day_slack))
+    fam["comp_zeta"] = _rel(np.abs(mu * zeta), mu + zeta)
+    fam["comp_lambda"] = _rel(np.abs(beta * above), beta + above)
+    fam["stat_zeta"] = _rel(np.abs(eta * phi - alpha * varphi - mu),
+                            eta * phi + alpha * varphi + mu)
     fam["stat_eta"] = _rel(abs(eta - varphi.sum()), eta + varphi.sum())
     weighted = m * (varphi @ d)
-    fam["stat_lambda"] = max(
-        _rel(abs(2.0 * lam[t] - weighted[t] - beta[t]),
-             2.0 * abs(lam[t]) + abs(weighted[t]) + beta[t])
-        for t in range(lam.size))
+    fam["stat_lambda"] = _rel(np.abs(2.0 * lam - weighted - beta),
+                              2.0 * np.abs(lam) + np.abs(weighted) + beta)
     fam["identity_19"] = _rel(
         abs((1.0 - alpha) * varphi.sum() - mu.sum()),
         varphi.sum() + mu.sum())
     return KktReport(fam)
 
 
-def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
-                           x_start=0.0, max_iters=500, tol=1e-8):
-    """Fixed point of x -> CL(lambda(x)) at the configured box ends.
+_FP_TOL = 1e-12
 
-    The claim limit CL uses the original day likelihoods (the insurer does
-    not observe the station's tilted weights). Damping 0.5 engages after
-    50 iterations; the returned quote carries the full residual trace and
-    the optimality certificate of the final price program.
+
+def _certified(solution, days, x_hat, config, tariff, price_floor=None):
+    """kkt_report's worst residual; RiskError above the 1e-6 gate."""
+    worst = kkt_report(solution, days, x_hat, config, tariff,
+                       price_floor=price_floor).max_residual
+    if worst > 1e-6:
+        raise RiskError(f"optimality certificate failed: max scaled "
+                        f"residual {worst:g}")
+    return worst
+
+
+def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
+                        floor=None, *, x_start=0.0, max_iters=500):
+    """Certified premium x = C * rev(lambda(x / sum_t D_t)) (cents).
+
+    rev is the likelihood-weighted charging revenue at the station's
+    prices, kept above floor when one is given. Secant steps in the
+    bracket of the root (see the module docstring) run until
+    |f(x) - x| <= 1e-12 (1 + |x|); the quote at that x carries the
+    residual of every iteration as its trace and the KKT certificate of
+    its price program. FixedPointError after max_iters iterations.
     """
     policy = config.resolved_policy()
     c_comp = composite_C(policy)
@@ -546,39 +581,54 @@ def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
             f"composite factor C={c_comp:g} at or above the demand "
             f"multiplier M={premium_multiplier_M(policy):g}; "
             "the premium recursion has no finite fixed point")
-
     x = float(x_start)
     if x < 0:
         raise RiskError(f"x_start must be nonnegative, got {x_start}")
+
+    lo, hi = 0.0, np.inf
     trace = []
-    converged = False
+    sol = prev = None
     for k in range(max_iters):
-        sol = solve_risk_averse_evcs(days, x / total, config, tariff)
-        revenue = float(days.likelihood @ (days.demand_kw
-                                           @ sol.charging_price))
-        x_new = c_comp * revenue
-        resid = abs(x_new - x)
-        trace.append(resid)
-        if resid <= tol * (1.0 + abs(x)):
-            x = x_new
-            converged = True
+        sol = solve_risk_averse_evcs(
+            days, x / total, config, tariff, price_floor=floor,
+            seed_cuts=None if sol is None else sol.active_cuts)
+        g = c_comp * float(days.likelihood @ (days.demand_kw
+                                              @ sol.charging_price)) - x
+        trace.append(abs(g))
+        if abs(g) <= _FP_TOL * (1.0 + abs(x)):
             break
-        x = 0.5 * (x + x_new) if k >= 50 else x_new
-    if not converged:
+        if g > 0.0:
+            lo = max(lo, x)
+        else:
+            hi = min(hi, x)
+        x_next = x + (g if k < 50 else 0.5 * g)
+        if k < 50 and prev is not None and g != prev[1]:
+            secant = x - g * (x - prev[0]) / (g - prev[1])
+            if lo < secant < hi:
+                x_next = secant
+        prev = (x, g)
+        x = x_next
+    else:
         raise FixedPointError(
             f"premium fixed point did not converge in {max_iters} "
             f"iterations (last residual {trace[-1]:g})", trace)
 
-    x = max(x, 0.0)
-    sol = solve_risk_averse_evcs(days, x / total, config, tariff)
-    report = kkt_report(sol, days, x / total, config, tariff)
-    if report.max_residual > 1e-6:
-        raise RiskError(
-            f"optimality certificate failed: max scaled residual "
-            f"{report.max_residual:g}")
-    return PremiumQuote(premium=x, per_kwh=x / total,
-                        charging_price=sol.charging_price,
-                        bound_mode=config.bound_mode, alpha=config.alpha,
-                        trace=tuple(trace), iterations=len(trace),
-                        solution=sol, kkt_max_residual=report.max_residual,
-                        total_demand=total)
+    return PremiumQuote(
+        premium=x, per_kwh=x / total, charging_price=sol.charging_price,
+        bound_mode=config.bound_mode, alpha=config.alpha,
+        trace=tuple(trace), iterations=len(trace), solution=sol,
+        kkt_max_residual=_certified(sol, days, x / total, config, tariff,
+                                    floor),
+        total_demand=total)
+
+
+def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
+                           x_start=0.0, max_iters=500):
+    """Fixed point of x -> CL(lambda(x)) at the configured box ends.
+
+    The claim limit CL uses the original day likelihoods (the insurer does
+    not observe the station's tilted weights); premium_fixed_point
+    without a price floor.
+    """
+    return premium_fixed_point(days, config, tariff, x_start=x_start,
+                               max_iters=max_iters)

@@ -62,12 +62,14 @@ def published_embedded_stationary():
     return p / p.sum()
 
 
-def published_reference_notes():
-    """Computed-vs-published discrepancies, for the case-run report."""
-    from .smp import run_chain  # local import keeps module import light
+def published_reference_notes(reference_run=None):
+    """Computed-vs-published discrepancies, for the case-run report;
+    reference_run is run_chain(reference_smp_model()) if already known."""
+    if reference_run is None:
+        from .smp import run_chain  # local import keeps module import light
 
-    model = reference_smp_model()
-    chain, result = run_chain(model)
+        reference_run = run_chain(reference_smp_model())
+    chain, result = reference_run
     # scale/shape for the four single-exit states; state I (competing exits)
     # has no such shortcut, its published value matches the correct integral.
     shortcut = np.array([

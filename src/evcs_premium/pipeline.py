@@ -128,7 +128,8 @@ def run_case(config: CaseConfig) -> ReportBundle:
         published = attack_probability(published_embedded_stationary(),
                                        PUBLISHED_SOJOURN)
         box = relative_box(published.p_attack, config.confidence_epsilon)
-        notes = published_reference_notes()
+        notes = published_reference_notes(
+            None if config.transitions_path else (chain, smp_result))
         for s, state in enumerate(STATES):
             comp = notes["computed_sojourn"][s]
             pub = notes["published_sojourn"][s]
@@ -241,7 +242,8 @@ def run_case(config: CaseConfig) -> ReportBundle:
         sweep = demand_scaling_sweep(network, days, risk,
                                      scales=config.scales,
                                      alphas=config.alphas,
-                                     bounds=config.bounds)
+                                     bounds=config.bounds,
+                                     quotes={1: quotes})
         for row in sweep:
             if not row.feasible:
                 discrepancies.append(

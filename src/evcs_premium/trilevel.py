@@ -22,25 +22,27 @@ structure rather than as one monolithic program: the coverage row binds at
 any optimum (the objective is strictly increasing in the premium once
 lambda is chosen minimally), which makes the optimal premium the unique
 fixed point of premium -> claim_loss(min-norm cut-respecting price at that
-premium). That map is a contraction whenever the composite claim factor
-stays below the demand multiplier, the same condition the bi-level fixed
-point needs. The grid blocks eliminated from the principal are verified
-verbatim on the composed solution: per-day primal feasibility, dual
-feasibility, and strong duality must all hold within 1e-8.
+premium). That is the premium fixed point of the bi-level quote with the
+cut floor added, so both modes run cvar.premium_fixed_point; it converges
+whenever the composite claim factor stays below the demand multiplier.
+Its first principal and the subproblem solve the same program, so the
+loop closes in round 1 (see ccg_solve). The grid blocks eliminated from
+the principal are verified verbatim on the composed solution: per-day
+primal feasibility, dual feasibility, and strong duality must all hold
+within 1e-8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import TypicalDaySet, claim_loss, composite_C, \
-    premium_multiplier_M
+from .analytic import TypicalDaySet
 from .backend import SolverOptions
-from .cvar import PremiumQuote, RiskConfig, RiskError, RiskInfeasibleError, \
-    kkt_report, solve_risk_averse_evcs
-from .dcopf import DcopfError, DlmpResult, HOURS, Network, \
+from .cvar import PremiumQuote, RiskConfig, RiskError, _certified, \
+    premium_fixed_point, robust_premium_bilevel, solve_risk_averse_evcs
+from .dcopf import DcopfError, HOURS, Network, \
     dual_feasibility_check, per_day_dlmps
 from .units import dollars_per_mwh_to_cents_per_kwh
 
@@ -200,8 +202,6 @@ def solve_trilevel_direct(network: Network, days: TypicalDaySet,
                           config: RiskConfig, *,
                           options: SolverOptions | None = None):
     """Sequential oracle: freeze the tariff, then run the bi-level quote."""
-    from .cvar import robust_premium_bilevel
-
     results, tariff, gaps = _grid_blocks(network, days, options)
     quote = robust_premium_bilevel(days, config, tariff)
     return TrilevelQuote(quote=quote, dlmp=tuple(results),
@@ -209,59 +209,36 @@ def solve_trilevel_direct(network: Network, days: TypicalDaySet,
                          mode="direct")
 
 
-def _principal(days, tariff, config, floor, *, x_hat_start=0.0,
-               max_iters=500, tol=1e-10):
-    """Master optimum under the current cut floor.
-
-    Returns (x_hat, price). The coverage row binds at the optimum, so the
-    premium solves x = CL(price(x)) with price(x) the minimum-norm
-    feasible price respecting the floor; iterate that contraction.
-    """
-    policy = config.resolved_policy()
-    total = float(days.weighted_demand.sum())
-    x_hat = float(x_hat_start)
-    for k in range(max_iters):
-        sol = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                     price_floor=floor)
-        x_new = claim_loss(policy, days, sol.charging_price) / total
-        if abs(x_new - x_hat) <= tol * (1.0 + abs(x_hat)):
-            return max(x_new, 0.0), sol.charging_price
-        x_hat = 0.5 * (x_hat + x_new) if k >= 50 else x_new
-    raise TrilevelError(
-        f"principal fixed point did not converge in {max_iters} "
-        f"iterations (floor max {float(np.max(floor)):g})")
-
-
 def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
               tol=1e-6, max_iters=25,
               options: SolverOptions | None = None):
     """Column-and-constraint generation on the premium/price master.
 
-    Each round solves the principal under the accumulated price cuts,
-    then the subproblem (the station's actual minimum-norm response at
-    the principal's premium); the two values premium + |price|^2 bracket
-    the optimum from below (subproblem) and above within the cut set
-    (principal) and meet at the tri-level optimum. Stops when the gap
-    falls under tol*(1+|upper|); raises after max_iters rounds.
-    """
-    policy = config.resolved_policy()
-    if composite_C(policy) >= premium_multiplier_M(policy):
-        raise RiskError(
-            "composite claim factor at or above the demand multiplier; "
-            "the premium recursion has no finite fixed point")
-    results, tariff, gaps = _grid_blocks(network, days, options)
-    total = float(days.weighted_demand.sum())
-    if total <= 0:
-        raise RiskError("typical days carry no demand")
+    Each round solves the principal under the accumulated price cuts
+    (premium_fixed_point with the cut floor), then the subproblem (the
+    station's actual minimum-norm response at the principal's premium);
+    the two values premium + |price|^2 bracket the optimum from below
+    (subproblem) and above within the cut set (principal) and meet at the
+    tri-level optimum. Stops when the gap falls under tol*(1+|upper|);
+    raises after max_iters rounds.
 
+    On this model the loop closes in round 1 whatever the data: the grid
+    level only passes the tariff up, so the first principal (no cuts, a
+    zero floor) and the subproblem solve the same price program at the
+    same premium, and their values agree to rounding. CCG needs more
+    rounds only when the recourse is coupled to the first-stage decision
+    (Zeng & Zhao, Oper. Res. Lett. 2013); the loop is kept as the
+    method of the paper and as a check of that argument.
+    """
+    results, tariff, gaps = _grid_blocks(network, days, options)
     floor = np.zeros(HOURS)
     cuts = []
     trace = []
-    x_hat = 0.0
-    converged = False
+    x_start = 0.0
     for k in range(1, max_iters + 1):
-        x_hat, price_p = _principal(days, tariff, config, floor,
-                                    x_hat_start=x_hat)
+        principal = premium_fixed_point(days, config, tariff, floor,
+                                        x_start=x_start)
+        price_p = principal.charging_price
         viol = float(np.max(floor - price_p, initial=0.0))
         if viol > CUT_SLACK:
             raise TrilevelError(
@@ -274,42 +251,34 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
                     f"iteration {k}: norm cut of iteration "
                     f"{cut.iteration} violated "
                     f"({norm_p:g} < {cut.norm_sq:g})")
-        upper = total * x_hat + norm_p
+        x_start = principal.premium
+        upper = x_start + norm_p
 
-        sub = solve_risk_averse_evcs(days, x_hat, config, tariff)
+        sub = solve_risk_averse_evcs(
+            days, principal.per_kwh, config, tariff,
+            seed_cuts=principal.solution.active_cuts)
         norm_s = float(sub.charging_price @ sub.charging_price)
-        lower = total * x_hat + norm_s
+        lower = x_start + norm_s
 
         cuts.append(CcgCut(iteration=k,
                            charging_price=tuple(sub.charging_price),
                            norm_sq=norm_s))
         floor = np.maximum(floor, sub.charging_price)
         state = CcgState(iteration=k, lower_bound=lower, upper_bound=upper,
-                         premium=total * x_hat, cuts=tuple(cuts),
-                         tolerance=tol)
+                         premium=x_start, cuts=tuple(cuts), tolerance=tol)
         trace.append(state)
         if state.gap <= tol * (1.0 + abs(upper)):
-            converged = True
-            final_sol = sub
             break
-    if not converged:
+    else:
         raise CcgNonConvergenceError(
             f"no convergence in {max_iters} iterations "
             f"(last gap {trace[-1].gap:g})", trace)
 
-    x = total * x_hat
-    report = kkt_report(final_sol, days, x_hat, config, tariff)
-    if report.max_residual > 1e-6:
-        raise RiskError(
-            f"optimality certificate failed: max scaled residual "
-            f"{report.max_residual:g}")
-    quote = PremiumQuote(premium=x, per_kwh=x_hat,
-                         charging_price=final_sol.charging_price,
-                         bound_mode=config.bound_mode, alpha=config.alpha,
-                         trace=tuple(s.premium for s in trace),
-                         iterations=len(trace), solution=final_sol,
-                         kkt_max_residual=report.max_residual,
-                         total_demand=total)
+    quote = replace(principal, charging_price=sub.charging_price,
+                    trace=tuple(s.premium for s in trace),
+                    iterations=len(trace), solution=sub,
+                    kkt_max_residual=_certified(sub, days, principal.per_kwh,
+                                                config, tariff))
     return TrilevelQuote(quote=quote, dlmp=tuple(results),
                          tariff_cents=tariff, duality_gaps=gaps,
                          mode="ccg", ccg_trace=tuple(trace))
@@ -333,43 +302,45 @@ def demand_scaling_sweep(network: Network, days: TypicalDaySet,
                          scales=(1, 100, 400, 800, 1000),
                          alphas=(1.0, 0.5, 0.0),
                          bounds=("lower", "expected", "upper"),
-                         options: SolverOptions | None = None):
+                         options: SolverOptions | None = None,
+                         quotes=None):
     """Premium grid over demand scale, tail level, and factor bounds.
 
     Runs the direct tri-level mode cell by cell, reusing each scale's
     grid solution across its nine policy cells. A scale whose OPF (or
     whose break-even program) is infeasible produces flagged rows with
-    the failure note instead of aborting the sweep.
+    the failure note instead of aborting the sweep. quotes, when given,
+    maps a scale to the PremiumQuote of every (alpha, bound) cell already
+    solved at that scale with this config (run_case passes its scale-1
+    quotes); such a scale runs no OPF and no price program.
     """
-    from .cvar import robust_premium_bilevel
-    from dataclasses import replace
+    def flagged(scale, alpha, bound, exc):
+        return SweepRow(scale=scale, alpha=alpha, bound=bound,
+                        lambda_c_avg=float("nan"), x_hat=float("nan"),
+                        feasible=False, note=str(exc))
 
     out = []
     for scale in scales:
-        scaled = days.scaled(scale)
-        try:
-            _, tariff, _ = _grid_blocks(network, scaled, options)
-        except (DcopfError, TrilevelError) as exc:
-            for alpha in alphas:
-                for bound in bounds:
-                    out.append(SweepRow(scale=scale, alpha=alpha,
-                                        bound=bound,
-                                        lambda_c_avg=float("nan"),
-                                        x_hat=float("nan"),
-                                        feasible=False, note=str(exc)))
-            continue
+        solved = (quotes or {}).get(scale)
+        if solved is None:
+            scaled = days.scaled(scale)
+            try:
+                _, tariff, _ = _grid_blocks(network, scaled, options)
+            except (DcopfError, TrilevelError) as exc:
+                out += [flagged(scale, alpha, bound, exc)
+                        for alpha in alphas for bound in bounds]
+                continue
         for alpha in alphas:
             for bound in bounds:
-                cell = replace(config, alpha=alpha, bound_mode=bound)
-                try:
-                    quote = robust_premium_bilevel(scaled, cell, tariff)
-                except (RiskInfeasibleError, RiskError) as exc:
-                    out.append(SweepRow(scale=scale, alpha=alpha,
-                                        bound=bound,
-                                        lambda_c_avg=float("nan"),
-                                        x_hat=float("nan"),
-                                        feasible=False, note=str(exc)))
-                    continue
+                if solved is not None:
+                    quote = solved[(alpha, bound)]
+                else:
+                    cell = replace(config, alpha=alpha, bound_mode=bound)
+                    try:
+                        quote = robust_premium_bilevel(scaled, cell, tariff)
+                    except RiskError as exc:
+                        out.append(flagged(scale, alpha, bound, exc))
+                        continue
                 out.append(SweepRow(
                     scale=scale, alpha=alpha, bound=bound,
                     lambda_c_avg=float(quote.charging_price.mean()),

@@ -72,6 +72,24 @@ class TestSolveLp:
             [1.0], [[1.0], [1.0]], [SENSE_GE, SENSE_LE], [1.0, 0.0])
         assert solve_lp(lp).status == "infeasible"
 
+    @pytest.mark.parametrize("field, at, bad, message", [
+        ("cost", 0, np.nan, "LP cost at index 0 is nan"),
+        ("rows", 1, np.inf, "LP matrix value at row 1 column 0 is inf"),
+        ("rhs", 0, np.nan, "LP right-hand side at index 0 is nan"),
+        ("lower", 0, np.nan, "LP lower bound at index 0 is nan"),
+        ("upper", 0, -np.inf, "LP upper bound at index 0 is -inf"),
+    ])
+    def test_non_finite_input_rejected(self, field, at, bad, message):
+        # min x s.t. x >= 0 and x >= -5, one entry replaced by a bad value
+        data = {"cost": [1.0], "rows": [1.0, 1.0], "rhs": [0.0, -5.0],
+                "lower": [-np.inf], "upper": [np.inf]}
+        data[field][at] = bad
+        lp = LinearProgram.from_dense(
+            data["cost"], np.reshape(data["rows"], (2, 1)),
+            [SENSE_GE, SENSE_GE], data["rhs"], data["lower"], data["upper"])
+        with pytest.raises(BackendError, match=message):
+            solve_lp(lp)
+
     def test_random_lps_match_vertex_enumeration(self):
         rng = np.random.default_rng(314)
         for _ in range(6):

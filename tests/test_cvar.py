@@ -12,17 +12,21 @@ from evcs_premium.analytic import (
     PolicyFactors,
     TypicalDaySet,
     closed_form_premium,
+    composite_C,
     premium_multiplier_M,
 )
 from evcs_premium.backend import SENSE_GE, SENSE_LE, ConvexQP, solve_qp
 from evcs_premium.cvar import (
+    FixedPointError,
     PolicyBox,
     PremiumQuote,
     RiskConfig,
     RiskError,
     RiskInfeasibleError,
     cvar_sup,
+    _cost_pieces,
     kkt_report,
+    premium_fixed_point,
     robust_premium_bilevel,
     solve_risk_averse_evcs,
     worst_case_scenario_cost,
@@ -196,6 +200,80 @@ def test_single_day_alpha_independent(grid_tariff):
         assert abs(q - quotes[0]) <= 1e-8 * (1.0 + quotes[0])
 
 
+def _fixture_cells(grid_tariff):
+    days = typical_days()
+    return [(days, default_risk_config(alpha=alpha, bound_mode=bound),
+             grid_tariff)
+            for alpha in (1.0, 0.5, 0.0)
+            for bound in ("lower", "expected", "upper")]
+
+
+def _quote_like(n):
+    """Random quote requests: 2-12 days of evening-peaked demand from
+    1e-1 to 1e3 times a 30-60 kW peak, per-day tariffs, the default
+    policy box at every bound and alpha at both ends, 0.5 and U(0, 1)."""
+    rng = np.random.default_rng(4242)
+    t = np.arange(24.0)
+    cells = []
+    for i in range(n):
+        n_day = int(rng.integers(2, 13))
+        shape = (rng.uniform(0.12, 0.25, (n_day, 1))
+                 + np.exp(-0.5 * ((t - rng.uniform(17, 20, (n_day, 1)))
+                                  / rng.uniform(2, 4, (n_day, 1))) ** 2))
+        demand = (10.0 ** rng.uniform(-1.0, 3.0) * rng.uniform(30, 60)
+                  * shape / shape.max(axis=1, keepdims=True))
+        tariff = rng.uniform(1.8, 2.4, (n_day, 1)) + rng.uniform(
+            0.0, 1.2, (n_day, 24))
+        alpha = (1.0, 0.5, 0.0, float(rng.uniform()))[i % 4]
+        bound = ("lower", "expected", "upper")[i // 4 % 3]
+        cells.append((TypicalDaySet(rng.dirichlet(np.full(n_day, 2.0)),
+                                    demand),
+                      default_risk_config(alpha, bound), tariff))
+    return cells
+
+
+def _picard_premium(days, config, tariff):
+    """The premium by plain iteration x -> C rev(lambda(x)) to 1e-13."""
+    c_comp = composite_C(config.resolved_policy())
+    total = float(days.weighted_demand.sum())
+    x = 0.0
+    for _ in range(1000):
+        sol = solve_risk_averse_evcs(days, x / total, config, tariff)
+        x_new = c_comp * float(days.likelihood
+                               @ (days.demand_kw @ sol.charging_price))
+        if abs(x_new - x) <= 1e-13 * (1.0 + abs(x)):
+            return x_new
+        x = x_new
+    raise AssertionError("plain iteration did not settle")
+
+
+def test_fixed_point_settles_in_few_iterations(grid_tariff):
+    for cell in _fixture_cells(grid_tariff):
+        assert robust_premium_bilevel(*cell).iterations <= 4
+    counts = [robust_premium_bilevel(*cell).iterations
+              for cell in _quote_like(48)]
+    # two active-set changes on the way cost a fifth iteration
+    assert max(counts) <= 5
+    assert np.mean(counts) <= 3.5
+
+
+def test_fixed_point_matches_plain_iteration(grid_tariff):
+    for days, config, tariff in (_fixture_cells(grid_tariff)
+                                 + _quote_like(12)):
+        quote = robust_premium_bilevel(days, config, tariff)
+        picard = _picard_premium(days, config, tariff)
+        assert abs(quote.premium - picard) <= 1e-9 * picard
+        assert quote.kkt_max_residual <= 1e-6
+
+
+def test_fixed_point_error_carries_trace(grid_tariff):
+    days, config, tariff = _fixture_cells(grid_tariff)[4]
+    with pytest.raises(FixedPointError, match="did not converge in 1 ") \
+            as info:
+        premium_fixed_point(days, config, tariff, max_iters=1)
+    assert len(info.value.trace) == 1 and info.value.trace[0] > 0.0
+
+
 def test_fixed_point_independent_of_start(grid_tariff):
     days = typical_days()
     config = default_risk_config(alpha=0.5, bound_mode="upper")
@@ -249,6 +327,73 @@ def test_kkt_report_families(grid_tariff):
     with pytest.raises(RiskError, match="alpha"):
         kkt_report(quote.solution, days, quote.per_kwh,
                    default_risk_config(alpha=0.25), grid_tariff)
+
+
+def _kkt_loop_reference(solution, days, x_hat, config, tariff):
+    """kkt_report's families computed one element at a time."""
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
+    lam, v, zeta = solution.charging_price, solution.v, solution.zeta
+    eta, varphi = solution.eta, solution.varphi
+    mu, beta = solution.mu, solution.beta
+
+    def rel(raw, scale):
+        return float(raw / (1.0 + scale))
+
+    ctilde = a - m * (d @ lam)
+    cvar_slack = v + phi @ zeta
+    day_slack = ctilde - v - alpha * zeta
+    days_, hours = range(len(a)), range(lam.size)
+    weighted = m * (varphi @ d)
+    return {
+        "primal_cvar": rel(max(0.0, cvar_slack),
+                           abs(v) + float(np.abs(phi * zeta).sum())),
+        "primal_scenario": max(
+            rel(max(0.0, day_slack[s]),
+                abs(ctilde[s]) + abs(v) + alpha * zeta[s]) for s in days_),
+        "primal_nonneg": max(
+            rel(max(0.0, float(-zeta.min(initial=0.0))), 0.0),
+            rel(max(0.0, float(-lam.min(initial=0.0))), 0.0)),
+        "dual_nonneg": rel(
+            max(0.0, -eta, float(-varphi.min(initial=0.0)),
+                float(-mu.min(initial=0.0)), float(-beta.min(initial=0.0))),
+            0.0),
+        "comp_cvar": rel(abs(eta * cvar_slack), eta + abs(cvar_slack)),
+        "comp_scenario": max(
+            rel(abs(varphi[s] * day_slack[s]), varphi[s] + abs(day_slack[s]))
+            for s in days_),
+        "comp_zeta": max(rel(abs(mu[s] * zeta[s]), mu[s] + zeta[s])
+                         for s in days_),
+        "comp_lambda": max(rel(abs(beta[t] * lam[t]), beta[t] + lam[t])
+                           for t in hours),
+        "stat_zeta": max(
+            rel(abs(eta * phi[s] - alpha * varphi[s] - mu[s]),
+                eta * phi[s] + alpha * varphi[s] + mu[s]) for s in days_),
+        "stat_eta": rel(abs(eta - varphi.sum()), eta + varphi.sum()),
+        "stat_lambda": max(
+            rel(abs(2.0 * lam[t] - weighted[t] - beta[t]),
+                2.0 * abs(lam[t]) + abs(weighted[t]) + beta[t])
+            for t in hours),
+        "identity_19": rel(abs((1.0 - alpha) * varphi.sum() - mu.sum()),
+                           varphi.sum() + mu.sum()),
+    }
+
+
+def _assert_kkt_matches_loops(solution, days, x_hat, config, tariff):
+    for sol in (solution, dataclasses.replace(
+            solution, charging_price=solution.charging_price * 0.99,
+            zeta=solution.zeta * 0.9 + 0.1)):
+        got = kkt_report(sol, days, x_hat, config, tariff).families
+        want = _kkt_loop_reference(sol, days, x_hat, config, tariff)
+        assert {k: v.hex() for k, v in got.items()} \
+            == {k: v.hex() for k, v in want.items()}
+
+
+def test_kkt_report_matches_loop_reference(grid_tariff):
+    for days, config, tariff in _fixture_cells(grid_tariff):
+        quote = robust_premium_bilevel(days, config, tariff)
+        _assert_kkt_matches_loops(quote.solution, days, quote.per_kwh,
+                                  config, tariff)
 
 
 def test_worst_case_cost_slopes():
@@ -466,3 +611,37 @@ def test_cutting_planes_match_interior_point_reference(program):
         gap = sol.beta * (lam - floor)
         assert np.all(np.abs(gap) <= 1e-6 * (1.0 + sol.beta + lam))
     assert max(families.values()) <= 1e-6
+
+
+@given(_price_programs(), st.floats(0.0, 3.0))
+def test_seeded_cuts_match_cold_solve(program, x_seed):
+    """Seeded solves reproduce the cold one; kkt_report on the cold one
+    equals its loop reference bit for bit."""
+    days, x_hat, config, tariff, floor = program
+    try:
+        cold = solve_risk_averse_evcs(days, x_hat, config, tariff,
+                                      price_floor=floor)
+    except RiskInfeasibleError:
+        return
+    _assert_kkt_matches_loops(cold, days, x_hat, config, tariff)
+    earlier = solve_risk_averse_evcs(days, x_seed, config, tariff,
+                                     price_floor=floor)
+    size = max(np.abs(cold.charging_price).max(), 1.0)
+    for seeds in (earlier.active_cuts, cold.active_cuts):
+        seeded = solve_risk_averse_evcs(days, x_hat, config, tariff,
+                                        price_floor=floor, seed_cuts=seeds)
+        assert np.abs(seeded.charging_price
+                      - cold.charging_price).max() <= 1e-12 * size
+        assert kkt_report(seeded, days, x_hat, config, tariff,
+                          price_floor=floor).max_residual <= 1e-6
+
+
+def test_seed_cuts_outside_the_envelope_rejected():
+    policy, days, tariff = _tiny_instance()
+    config = _point_config(policy, alpha=0.5)
+    for bad in (np.array([[0.5, 0.5, 0.0]]), np.array([[0.7, 0.2]]),
+                np.array([[0.1, 0.9]]),
+                np.array([[-0.2, 1.2]]), np.array([0.5, 0.5])):
+        with pytest.raises(RiskError, match="seed_cuts"):
+            solve_risk_averse_evcs(days, 0.5, config, tariff,
+                                   seed_cuts=bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evcs_premium.cvar import robust_premium_bilevel
+from evcs_premium.cvar import premium_fixed_point, robust_premium_bilevel
 from evcs_premium.dcopf import Generator, Network, per_day_dlmps
 from evcs_premium.fixtures import (
     default_risk_config,
@@ -18,7 +18,6 @@ from evcs_premium.trilevel import (
     SweepRow,
     TrilevelError,
     TrilevelQuote,
-    _principal,
     ccg_solve,
     check_sweep_monotonicity,
     demand_scaling_sweep,
@@ -72,14 +71,18 @@ def test_principal_respects_cut_floors():
     quote = solve_trilevel_direct(net, days, config)
     tariff = quote.tariff_cents
 
-    x0, price0 = _principal(days, tariff, config, np.zeros(24))
-    floor = price0.copy()
+    free = premium_fixed_point(days, config, tariff, np.zeros(24))
+    floor = free.charging_price.copy()
     floor[6:12] += 0.4
-    x1, price1 = _principal(days, tariff, config, floor)
+    floored = premium_fixed_point(days, config, tariff, floor)
+    price0, price1 = free.charging_price, floored.charging_price
     assert np.all(price1 >= floor - 1e-9)
     # a floored response can only cost the station more
-    assert x1 >= x0 - 1e-9
+    assert floored.per_kwh >= free.per_kwh - 1e-9
     assert float(price1 @ price1) >= float(price0 @ price0) - 1e-9
+    # the floored quote is certified against lambda >= floor
+    assert floored.kkt_max_residual <= 1e-6
+    assert floored.iterations <= 4
 
 
 def test_trilevel_reduces_to_bilevel_on_flat_grid():
