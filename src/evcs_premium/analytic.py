@@ -24,7 +24,8 @@ a dollars view is provided for reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,10 @@ class PolicyFactors:
     penalty: float
 
     def __post_init__(self):
+        for name in POLICY_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise AnalyticError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.p_attack <= 1.0:
             raise AnalyticError(f"p_attack must be in [0,1], got {self.p_attack}")
         if not 0.0 <= self.loading < 1.0:
@@ -77,6 +82,9 @@ class PolicyFactors:
 
     def penalty_cents_per_kw(self):
         return dollars_per_kw_to_cents_per_kw(self.penalty)
+
+
+POLICY_FIELDS = tuple(f.name for f in fields(PolicyFactors))
 
 
 @dataclass(frozen=True)

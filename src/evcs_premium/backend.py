@@ -9,12 +9,12 @@ dual conventions in one place:
 * ``reduced_lower[j]`` / ``reduced_upper[j]`` are the sensitivities to the
   variable bounds.
 
-LPs (the OPF programs) are handed to scipy's HiGHS interface, whose marginals
-already follow this convention. Splitting an LP by sense, bounding it and
-certifying its solution all work on its sparse matrix with array
-operations, so an LP stacked from many small blocks costs no Python work
-per row; :func:`certify` also reports the residuals of each block of such
-an LP as if it had been solved alone.
+LPs (the OPF programs) go to the HiGHS dual simplex (Huangfu & Hall, Math.
+Prog. Comp. 2018) through one thin adapter over scipy's bundled bindings:
+the CSC rows and the row bounds read off the senses, under the options,
+statuses and marginals of scipy's ``method="highs"`` LP interface, which
+follow this convention. :func:`solve_lp` certifies each solution once,
+per block of an LP stacked from equal blocks, as if each were solved alone.
 
 QPs (diagonal positive semidefinite Hessian only) are solved by a dense
 Mehrotra predictor-corrector interior point method followed by an
@@ -27,11 +27,10 @@ as the generic reference that solver is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 SENSE_LE = "<="
 SENSE_GE = ">="
@@ -44,6 +43,27 @@ _DEFAULT_GAP_TOL = 1e-8
 
 class BackendError(ValueError):
     """Raised for malformed problems or solver-option violations."""
+
+
+try:  # private API, shipped with scipy 1.17
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise BackendError(
+        "the HiGHS bindings scipy.optimize._highspy._core are missing "
+        "(supported: scipy>=1.17,<1.18)") from exc
+
+# the options scipy's method="highs" LP interface passes to HiGHS
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.log_to_console = _OPTIONS.output_flag = False
+_OPTIONS.simplex_strategy = (
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_STATUS = {_highs.HighsModelStatus.kInfeasible: "infeasible",
+           _highs.HighsModelStatus.kModelError: "infeasible",
+           _highs.HighsModelStatus.kUnbounded: "unbounded"}
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
 @dataclass
@@ -71,32 +91,43 @@ class SolverOptions:
 
 @dataclass
 class LinearProgram:
-    """min cost.x subject to rows (sparse triplet), senses, rhs and bounds."""
+    """min cost.x subject to sparse rows a, senses, rhs and bounds.
+
+    ``a`` may be anything ``scipy.sparse.csc_matrix`` accepts; it is kept
+    in canonical CSC form, which is what HiGHS reads.
+    """
 
     cost: np.ndarray
-    row_idx: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    senses: list
+    a: sp.csc_matrix
+    senses: np.ndarray  # of SENSE_* strings
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
+    def __post_init__(self):
+        self.a = sp.csc_matrix(self.a)
+        self.a.sum_duplicates()
+        m, n = self.a.shape
+        # HiGHS reads these as float64 buffers of exactly this size
+        for name, size in (("cost", n), ("rhs", m), ("lower", n), ("upper", n)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (size,):
+                raise BackendError(
+                    f"LP {name} must have {size} entries, got {value.shape}")
+            setattr(self, name, value)
+        self.senses = np.asarray(self.senses, dtype=str)
+        if self.senses.shape != (m,):
+            raise BackendError(f"LP must have {m} senses, got {self.senses.shape}")
+        bad = np.flatnonzero(~np.isin(self.senses, _SENSES))
+        if bad.size:
+            raise BackendError(f"unknown sense {str(self.senses[bad[0]])!r}")
+
     @classmethod
     def from_dense(cls, cost, rows, senses, rhs, lower=None, upper=None):
-        cost = np.asarray(cost, dtype=float)
-        n = cost.size
-        rows = np.asarray(rows, dtype=float).reshape(-1, n)
-        rhs = np.asarray(rhs, dtype=float)
-        if rows.shape[0] != rhs.size or rows.shape[0] != len(senses):
-            raise BackendError("rows, senses and rhs must agree in length")
-        for s in senses:
-            if s not in _SENSES:
-                raise BackendError(f"unknown sense {s!r}")
-        ri, ci = np.nonzero(rows)
-        lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        return cls(cost, ri, ci, rows[ri, ci], list(senses), rhs, lower, upper)
+        n = np.size(cost)
+        return cls(cost, np.asarray(rows, dtype=float).reshape(-1, n), senses,
+                   rhs, np.full(n, -np.inf) if lower is None else lower,
+                   np.full(n, np.inf) if upper is None else upper)
 
     @property
     def num_vars(self):
@@ -106,43 +137,23 @@ class LinearProgram:
     def num_rows(self):
         return self.rhs.size
 
-    def matrix(self):
-        """The constraint rows as a sparse CSR matrix."""
-        return sp.csr_matrix((self.values, (self.row_idx, self.col_idx)),
-                             shape=(self.num_rows, self.num_vars))
-
 
 @dataclass
-class ConvexQP:
-    """min 0.5 x.diag(q).x + cost.x with the same row/bound structure.
+class ConvexQP(LinearProgram):
+    """min 0.5 x.diag(q).x + cost.x over a LinearProgram's rows and bounds,
+    with q_diag elementwise nonnegative (a diagonal PSD Hessian)."""
 
-    q_diag must be elementwise nonnegative (diagonal PSD Hessian).
-    """
-
-    q_diag: np.ndarray
-    cost: np.ndarray
-    row_idx: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    senses: list
-    rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    q_diag: np.ndarray = None
 
     @classmethod
     def from_dense(cls, q_diag, cost, rows, senses, rhs, lower=None, upper=None):
-        lp = LinearProgram.from_dense(cost, rows, senses, rhs, lower, upper)
-        q = np.asarray(q_diag, dtype=float)
-        if q.size != lp.num_vars:
+        qp = super().from_dense(cost, rows, senses, rhs, lower, upper)
+        qp.q_diag = np.asarray(q_diag, dtype=float)
+        if qp.q_diag.size != qp.num_vars:
             raise BackendError("q_diag length must match cost length")
-        if np.any(q < 0):
+        if np.any(qp.q_diag < 0):
             raise BackendError("q_diag must be nonnegative (diagonal PSD)")
-        return cls(q, lp.cost, lp.row_idx, lp.col_idx, lp.values, lp.senses,
-                   lp.rhs, lp.lower, lp.upper)
-
-    matrix = LinearProgram.matrix
-    num_vars = LinearProgram.num_vars
-    num_rows = LinearProgram.num_rows
+        return qp
 
 
 @dataclass
@@ -159,6 +170,7 @@ class SolveResult:
     comp_slack: float = np.nan
     iterations: int = 0
     message: str = ""
+    certificate: Certificate | None = None
 
 
 @dataclass(frozen=True)
@@ -194,9 +206,9 @@ def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
     residuals each block would have if solved alone. ``blocks=1`` covers
     the whole program.
     """
-    a = prob.matrix()
+    a = prob.a
     ax = a @ x
-    senses = np.asarray(prob.senses, dtype=str)
+    senses = prob.senses
     eq = senses == SENSE_EQ
     slack = np.where(senses == SENSE_LE, prob.rhs - ax, ax - prob.rhs)
     row_viol = np.where(eq, np.abs(slack), np.maximum(-slack, 0.0))
@@ -230,17 +242,56 @@ def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
 
 
 def _result(status, x, duals, red_lo, red_up, cert, iterations):
-    """SolveResult carrying the whole-program certificate."""
+    """SolveResult with the certificate, worst or summed over its blocks."""
     return SolveResult(
-        status, x, float(cert.objective[0]), duals, red_lo, red_up,
-        primal_infeasibility=float(cert.primal_infeasibility[0]),
-        dual_infeasibility=float(cert.dual_infeasibility[0]),
-        duality_gap=float(cert.duality_gap[0]),
-        comp_slack=float(cert.comp_slack[0]), iterations=iterations)
+        status, x, float(cert.objective.sum()), duals, red_lo, red_up,
+        primal_infeasibility=float(cert.primal_infeasibility.max()),
+        dual_infeasibility=float(cert.dual_infeasibility.max()),
+        duality_gap=float(cert.duality_gap.max()),
+        comp_slack=float(cert.comp_slack.sum()), iterations=iterations,
+        certificate=cert)
 
 
-def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveResult:
+def _highs_solve(lp):
+    """One cold HiGHS run of lp, read as scipy's method="highs" reads it:
+    (model status, message, x, duals, reduced_lower, reduced_upper,
+    simplex iterations), the arrays None unless the status is optimal."""
+    n_rows, n_cols = lp.a.shape
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    # a colwise model from the CSC arrays, every column continuous
+    if highs.passModel(
+            n_cols, n_rows, lp.a.nnz, _highs.MatrixFormat.kColwise,
+            _highs.ObjSense.kMinimize, 0.0, lp.cost, lp.lower, lp.upper,
+            np.where(lp.senses == SENSE_LE, -np.inf, lp.rhs),
+            np.where(lp.senses == SENSE_GE, np.inf, lp.rhs), lp.a.indptr,
+            lp.a.indices, lp.a.data, np.zeros(n_cols, dtype=np.int32)
+    ) == _highs.HighsStatus.kError:
+        status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    message = f"HiGHS model status {highs.modelStatusToString(status)}"
+    if status != _highs.HighsModelStatus.kOptimal:
+        return status, message, None, None, None, None, 0
+    solution = highs.getSolution()
+    basis = np.fromiter(map(int, highs.getBasis().col_status), np.int8,
+                        n_cols)
+    col_dual = np.array(solution.col_dual)
+    return (status, message, np.array(solution.col_value),
+            np.array(solution.row_dual),
+            np.where(basis == _AT_LOWER, col_dual, 0.0),
+            np.where(basis == _AT_UPPER, col_dual, 0.0),
+            highs.getInfo().simplex_iteration_count)
+
+
+def solve_lp(lp: LinearProgram, options: SolverOptions | None = None,
+             blocks: int = 1) -> SolveResult:
     """Solve an LP with HiGHS, returning sensitivity-convention duals.
+
+    The solution is certified once, per block (see :func:`certify`): the
+    status is "optimal" only if every block passes the gates, and the
+    result carries the :class:`Certificate`.
 
     Raises BackendError naming the first NaN or infinite cost, matrix
     entry or right-hand side, and the first NaN bound or infinite bound
@@ -248,52 +299,24 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None) -> SolveRe
     """
     for name, values, ok in (
             ("cost", lp.cost, np.isfinite(lp.cost)),
-            ("matrix value", lp.values, np.isfinite(lp.values)),
+            ("matrix value", lp.a.data, np.isfinite(lp.a.data)),
             ("right-hand side", lp.rhs, np.isfinite(lp.rhs)),
             ("lower bound", lp.lower, lp.lower < np.inf),
             ("upper bound", lp.upper, lp.upper > -np.inf)):
         if not ok.all():
             i = int(np.argmin(ok))
-            where = (f"row {lp.row_idx[i]} column {lp.col_idx[i]}"
+            where = (f"row {lp.a.indices[i]} column "
+                     f"{np.searchsorted(lp.a.indptr, i, side='right') - 1}"
                      if name == "matrix value" else f"index {i}")
             raise BackendError(f"LP {name} at {where} is {float(values[i])!r}")
     opts = options or SolverOptions()
-    a = lp.matrix()
-    senses = np.asarray(lp.senses, dtype=str)
-    eq_pos = np.flatnonzero(senses == SENSE_EQ)
-    ub_pos = np.flatnonzero(senses != SENSE_EQ)
-    ub_sign = np.where(senses[ub_pos] == SENSE_LE, 1.0, -1.0)
-
-    a_eq = a[eq_pos] if eq_pos.size else None
-    b_eq = lp.rhs[eq_pos] if eq_pos.size else None
-    a_ub = sp.diags(ub_sign) @ a[ub_pos] if ub_pos.size else None
-    b_ub = ub_sign * lp.rhs[ub_pos] if ub_pos.size else None
-
-    res = linprog(lp.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=np.column_stack([lp.lower, lp.upper]),
-                  method="highs")
-    if res.status == 2:
-        return SolveResult("infeasible", None, None, None, None, None,
-                           message=res.message)
-    if res.status == 3:
-        return SolveResult("unbounded", None, None, None, None, None,
-                           message=res.message)
-    if res.status != 0:
-        return SolveResult("numerical", None, None, None, None, None,
-                           message=res.message)
-
-    duals = np.zeros(lp.num_rows)
-    if eq_pos.size:
-        duals[eq_pos] = res.eqlin.marginals
-    if ub_pos.size:
-        duals[ub_pos] = ub_sign * res.ineqlin.marginals
-    red_lo = np.asarray(res.lower.marginals, dtype=float)
-    red_up = np.asarray(res.upper.marginals, dtype=float)
-
-    cert = certify(lp, res.x, duals, red_lo, red_up)
-    status = "optimal" if cert.lp_optimal(opts)[0] else "numerical"
-    return _result(status, res.x, duals, red_lo, red_up, cert,
-                   int(getattr(res, "nit", 0)))
+    status, message, x, duals, red_lo, red_up, iters = _highs_solve(lp)
+    if x is None:
+        return SolveResult(_STATUS.get(status, "numerical"), None, None,
+                           None, None, None, message=message)
+    cert = certify(lp, x, duals, red_lo, red_up, blocks)
+    status = "optimal" if cert.lp_optimal(opts).all() else "numerical"
+    return _result(status, x, duals, red_lo, red_up, cert, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +329,7 @@ def _canonical_ineq(qp):
     Returns (E, f, G, h, tags) where tags maps each G row back to its origin:
     ("row", i, sign), ("lower", j) or ("upper", j).
     """
-    a = qp.matrix().toarray()
+    a = qp.a.toarray()
     e_rows, f_vals, g_rows, h_vals, tags = [], [], [], [], []
     for i, s in enumerate(qp.senses):
         if s == SENSE_EQ:
@@ -469,8 +492,7 @@ def solve_qp(qp: ConvexQP, options: SolverOptions | None = None) -> SolveResult:
     n, m = qp.num_vars, qp.num_rows
 
     # Certify row feasibility with an LP phase before running the IPM.
-    feas = solve_lp(LinearProgram(np.zeros(n), qp.row_idx, qp.col_idx,
-                                  qp.values, qp.senses, qp.rhs,
+    feas = solve_lp(LinearProgram(np.zeros(n), qp.a, qp.senses, qp.rhs,
                                   qp.lower, qp.upper))
     if feas.status == "infeasible":
         return SolveResult("infeasible", None, None, None, None, None,

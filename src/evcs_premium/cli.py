@@ -79,12 +79,8 @@ def _write_quote(out, quote, name="premium_quote", extra=None):
     }
     if extra:
         doc.update(extra)
-    path = os.path.join(out, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    lam_path = os.path.join(out, "lambda_c.csv")
-    with open(lam_path, "w", newline="") as fh:
+    dataio._write_json(os.path.join(out, f"{name}.json"), doc)
+    with open(os.path.join(out, "lambda_c.csv"), "w", newline="") as fh:
         fh.write("# charging price; units: lambda_c in cents/kWh, "
                  "hour in 1..24\n")
         fh.write("hour,lambda_c\n")
@@ -112,9 +108,7 @@ def _cmd_smp(args):
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "smp.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio._write_json(os.path.join(args.out, "smp.json"), doc)
     with open(os.path.join(args.out, "smp.csv"), "w", newline="") as fh:
         fh.write("# attack-chain summary; units: sojourn in hours, "
                  "probabilities dimensionless\n")
@@ -167,9 +161,7 @@ def _cmd_premium_analytic(args):
         "omega": solution.omega,
         "composite_c": solution.composite_c,
     }
-    with open(os.path.join(args.out, "analytic.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio._write_json(os.path.join(args.out, "analytic.json"), doc)
     with open(os.path.join(args.out, "lambda_c.csv"), "w",
               newline="") as fh:
         fh.write("# closed-form charging price; units: lambda_c in "

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .analytic import PolicyFactors, TypicalDaySet
+from .analytic import POLICY_FIELDS, PolicyFactors, TypicalDaySet
 from .cvar import PolicyBox, RiskConfig
 from .dcopf import Generator, HOURS, Line, Network
 from .smp import SmpModel, TRANSITIONS, WeibullDist
@@ -26,6 +26,12 @@ class DataError(ValueError):
 
 def _fmt(value):
     return repr(float(value))
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_csv_rows(path):
@@ -172,9 +178,7 @@ def write_network(path, network: Network):
             for day, per_bus in network.base_demand.items()},
         "evcs_bus": network.evcs_bus,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_transitions(path) -> SmpModel:
@@ -195,18 +199,12 @@ def write_transitions(path, model: SmpModel):
     doc = {"transitions": {k: {"shape": model[k].shape,
                                "scale": model[k].scale}
                            for k in TRANSITIONS}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-_POLICY_FIELDS = ("p_attack", "loading", "risk_share", "history_coeff",
-                  "attack_count", "penalty")
+    _write_json(path, doc)
 
 
 def _policy_from_doc(doc, origin):
     try:
-        return PolicyFactors(**{f: doc[f] for f in _POLICY_FIELDS})
+        return PolicyFactors(**{f: doc[f] for f in POLICY_FIELDS})
     except KeyError as exc:
         raise DataError(f"{origin}: policy document missing {exc}") \
             from None
@@ -220,10 +218,8 @@ def load_policy(path) -> PolicyFactors:
 
 
 def write_policy(path, policy: PolicyFactors):
-    doc = {f: getattr(policy, f) for f in _POLICY_FIELDS}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = {f: getattr(policy, f) for f in POLICY_FIELDS}
+    _write_json(path, doc)
 
 
 def load_risk_config(path, *, alpha=None, bound_mode=None) -> RiskConfig:
@@ -255,16 +251,14 @@ def load_risk_config(path, *, alpha=None, bound_mode=None) -> RiskConfig:
 
 def write_risk_config(path, config: RiskConfig):
     doc = {
-        "policy": {f: getattr(config.policy, f) for f in _POLICY_FIELDS},
+        "policy": {f: getattr(config.policy, f) for f in POLICY_FIELDS},
         "box": {"p_attack": list(config.policy_box.p_attack),
                 "loading": list(config.policy_box.loading),
                 "history_coeff": list(config.policy_box.history_coeff)},
         "alpha": config.alpha,
         "bound_mode": config.bound_mode,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 TARIFF_COMMENT = "# station tariff; units: tariff in cents/kWh, hour in 1..24"

@@ -10,10 +10,12 @@ theta, flows f):
 
 Every hour shares one constraint block, built once per network; only the
 bus demand (the right-hand side) and the generator costs change. A day's
-24 hour-separable LPs are stacked on the diagonal of one LP and solved in
-a single call, and each hour is still gated at its own scale as if it had
-been solved alone. Only a day that cannot be served is solved again hour
-by hour, to name the first hour no dispatch can serve.
+24 hour-separable LPs are stacked on the diagonal of one LP, whose matrix
+and bounds are also built once per network, and solved in a single call.
+The solver certifies that LP once, hour by hour, so each hour is still
+gated at its own scale as if it had been solved alone. Only a day that
+cannot be served is solved again hour by hour, to name the first hour no
+dispatch can serve.
 
 The DLMP at a bus is the sensitivity dual of its balance row. The remaining
 duals are reported in the sign convention of the stationarity identities
@@ -38,7 +40,6 @@ from .backend import (
     SENSE_EQ,
     LinearProgram,
     SolverOptions,
-    certify,
     solve_lp,
 )
 
@@ -216,21 +217,27 @@ class HourBlock:
     upper: np.ndarray
     cost: np.ndarray        # (n_gen, 24) $/MWh
     reactance: np.ndarray   # (n_line,)
+    _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
-
-def _stacked_lp(block, demand, cost):
-    """The LP of the hours in the columns of demand (n_bus, k) and cost
-    (n_gen, k): k copies of the hour block on the diagonal, hour-major."""
-    k = demand.shape[1]
-    n_rows, n_vars = block.matrix.shape
-    a = sp.kron(sp.identity(k), block.matrix, format="coo")
-    rhs = np.zeros((k, n_rows))
-    rhs[:, :demand.shape[0]] = demand.T
-    c = np.zeros((k, n_vars))
-    c[:, :cost.shape[0]] = cost.T
-    return LinearProgram(c.ravel(), a.row, a.col, a.data,
-                         [SENSE_EQ] * (k * n_rows), rhs.ravel(),
-                         np.tile(block.lower, k), np.tile(block.upper, k))
+    def lp(self, demand, cost):
+        """The LP of the hours in the columns of demand (n_bus, k) and cost
+        (n_gen, k): k copies of the block on the diagonal, hour-major. The
+        stacked matrix and bounds are built once per k, and read-only."""
+        k = demand.shape[1]
+        n_rows, n_vars = self.matrix.shape
+        if k not in self._stacks:
+            a = sp.kron(sp.identity(k), self.matrix, format="csc")
+            stack = (a, np.full(k * n_rows, SENSE_EQ),
+                     np.tile(self.lower, k), np.tile(self.upper, k))
+            for v in (a.data, a.indices, a.indptr, *stack[1:]):
+                v.flags.writeable = False
+            self._stacks[k] = stack
+        a, senses, lower, upper = self._stacks[k]
+        rhs = np.zeros((k, n_rows))
+        rhs[:, :demand.shape[0]] = demand.T
+        c = np.zeros((k, n_vars))
+        c[:, :cost.shape[0]] = cost.T
+        return LinearProgram(c.ravel(), a, senses, rhs.ravel(), lower, upper)
 
 
 @dataclass(frozen=True)
@@ -250,7 +257,6 @@ class DlmpResult:
     c_ll: float               # generation cost over the day, $
     c_dll: float              # dual objective over the day, $
     balance_residual: float   # max |balance violation| MW over bus-hours
-    hourly_cost: np.ndarray = field(default=None, repr=False)
 
 
 def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
@@ -272,16 +278,12 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
 
     opts = options or SolverOptions()
     block = network._hour_block
-    lp = _stacked_lp(block, demand, block.cost)
-    res = solve_lp(lp, opts)
+    res = solve_lp(block.lp(demand, block.cost), opts, blocks=HOURS)
     if res.status == "infeasible":
         raise _first_binding_hour(block, day, demand, opts)
     if res.x is None:
         raise DcopfError(f"day {day!r}: solver status {res.status}")
-    # the stacked LP passes solve_lp's gates at the scale of the whole day;
-    # each hour must pass them at its own
-    hours = certify(lp, res.x, res.duals, res.reduced_lower,
-                    res.reduced_upper, blocks=HOURS)
+    hours = res.certificate  # solve_lp's gates, each hour at its own scale
     failed = np.flatnonzero(~hours.lp_optimal(opts))
     if failed.size:
         t = failed[0]
@@ -317,16 +319,14 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
     return DlmpResult(day=day, dispatch=dispatch, angles=angles, flows=flows,
                       dlmp=dlmp, alpha_up=alpha_up, alpha_lo=alpha_lo, xi=xi,
                       delta_up=delta_up, delta_lo=delta_lo, c_ll=c_ll,
-                      c_dll=c_dll, balance_residual=residual,
-                      hourly_cost=hours.objective)
+                      c_dll=c_dll, balance_residual=residual)
 
 
 def _first_binding_hour(block, day, demand, options):
     """DcopfError naming the first hour of an infeasible day, found by
     solving its hours one at a time, in order."""
     for t in range(HOURS):
-        hour = slice(t, t + 1)
-        lp = _stacked_lp(block, demand[:, hour], block.cost[:, hour])
+        lp = block.lp(demand[:, t:t + 1], block.cost[:, t:t + 1])
         if solve_lp(lp, options).status == "infeasible":
             return DcopfError(
                 f"day {day!r}: demand not servable, first binding hour "

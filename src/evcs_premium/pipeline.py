@@ -12,7 +12,6 @@ failure is re-raised with the stage name attached.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -84,12 +83,6 @@ class ReportBundle:
     outputs: dict = field(default_factory=dict)
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _quote_doc(quote):
     return {
         "premium_cents": quote.premium,
@@ -116,9 +109,9 @@ def run_case(config: CaseConfig) -> ReportBundle:
         return os.path.join(out, filename)
 
     def finish_manifest(failed=None, error=None):
-        _write_json(os.path.join(out, "MANIFEST.json"),
-                    {"completed": completed, "failed": failed,
-                     "error": error, "outputs": outputs})
+        dataio._write_json(os.path.join(out, "MANIFEST.json"),
+                           {"completed": completed, "failed": failed,
+                            "error": error, "outputs": outputs})
 
     stage = "smp"
     try:
@@ -144,7 +137,7 @@ def run_case(config: CaseConfig) -> ReportBundle:
             f"published steady-state table {published.p_attack:.5f} "
             f"(the published sojourn column is not reproducible from the "
             f"published transition parameters)")
-        _write_json(path_for("smp", "smp.json"), {
+        dataio._write_json(path_for("smp", "smp.json"), {
             "states": list(STATES),
             "kernel_at_infinity": chain.kernel_inf.tolist(),
             "embedded_stationary": chain.stationary.tolist(),
@@ -207,7 +200,7 @@ def run_case(config: CaseConfig) -> ReportBundle:
         sensitivity = {axis: (grid, sensitivity_sweep(policy, axis, grid,
                                                       days, tariff))
                        for axis, grid in grids.items()}
-        _write_json(path_for("analytic", "analytic.json"), {
+        dataio._write_json(path_for("analytic", "analytic.json"), {
             "premium_cents": analytic.premium,
             "per_kwh_cents": analytic.per_kwh,
             "omega": analytic.omega,
@@ -233,7 +226,7 @@ def run_case(config: CaseConfig) -> ReportBundle:
                 cell = replace(risk, alpha=alpha, bound_mode=bound)
                 quotes[(alpha, bound)] = robust_premium_bilevel(
                     days, cell, tariff)
-        _write_json(path_for("robust", "robust_quotes.json"), {
+        dataio._write_json(path_for("robust", "robust_quotes.json"), {
             f"alpha={alpha:g},bound={bound}": _quote_doc(q)
             for (alpha, bound), q in quotes.items()})
         completed.append(stage)

@@ -42,8 +42,10 @@ class WeibullDist:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise SmpError(f"shape and scale must be positive, got {self}")
+        for name, value in (("shape", self.shape), ("scale", self.scale)):
+            if not (np.isfinite(value) and value > 0):
+                raise SmpError(
+                    f"Weibull {name} must be finite and positive, got {value!r}")
 
     def quantile(self, p):
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)

@@ -18,21 +18,9 @@ def dollars_per_mwh_to_cents_per_kwh(price):
     return np.asarray(price, dtype=float) / 10.0
 
 
-def cents_per_kwh_to_dollars_per_mwh(price):
-    return np.asarray(price, dtype=float) * 10.0
-
-
 def kw_to_mw(power):
     return np.asarray(power, dtype=float) / KW_PER_MW
 
 
-def mw_to_kw(power):
-    return np.asarray(power, dtype=float) * KW_PER_MW
-
-
 def dollars_per_kw_to_cents_per_kw(price):
     return np.asarray(price, dtype=float) * CENTS_PER_DOLLAR
-
-
-def cents_to_dollars(amount):
-    return np.asarray(amount, dtype=float) / CENTS_PER_DOLLAR

@@ -172,6 +172,14 @@ def test_policy_domain_errors():
         dataclasses.replace(good, penalty=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(
+    PolicyFactors)])
+def test_policy_rejects_non_finite(field, bad):
+    with pytest.raises(AnalyticError, match=f"^{field} must be finite, got "):
+        dataclasses.replace(default_policy(), **{field: bad})
+
+
 def test_day_set_validation():
     with pytest.raises(AnalyticError, match="sum to 1"):
         TypicalDaySet(np.array([0.5, 0.4]), np.ones((2, 24)))

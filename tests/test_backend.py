@@ -7,10 +7,16 @@ conditions directly.
 """
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import linprog
 
 from evcs_premium import backend
 from evcs_premium.backend import (
@@ -50,6 +56,59 @@ def random_equality_lp(rng, m=10, n=20):
     b = a @ x_feas
     c = rng.uniform(0.1, 2.0, size=n)  # positive cost keeps the LP bounded
     return a, b, c
+
+
+def random_mixed_lp(rng):
+    """A small sparse LP with every sense and finite and infinite bounds.
+
+    The inequality rows come before the equality rows, the order in which
+    scipy's linprog hands rows to HiGHS, so both see the same model. Every
+    row holds at a common point, except in one draw in four, where each row
+    is pushed past it (many of those are infeasible); free columns with
+    random costs make many draws unbounded.
+    """
+    m, n = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+    x0 = rng.uniform(-1.0, 2.0, n)
+    senses = sorted(rng.choice([SENSE_EQ, SENSE_LE, SENSE_GE], m),
+                    key=lambda s: s == SENSE_EQ)
+    ineq = np.array([s != SENSE_EQ for s in senses])
+    sign = np.array([-1.0 if s == SENSE_GE else 1.0 for s in senses])
+    slack = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.5) * ineq
+    if rng.random() < 0.25:
+        slack = -slack - 1.0
+    rhs = a @ x0 + sign * slack
+    lower = np.where(rng.random(n) < 0.3, -np.inf,
+                     x0 - rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7))
+    upper = np.where(rng.random(n) < 0.4, np.inf,
+                     x0 + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7))
+    return LinearProgram.from_dense(rng.normal(size=n), a, senses, rhs,
+                                    lower, upper)
+
+
+def linprog_reference(lp):
+    """(status, x, duals, reduced_lower, reduced_upper, iterations) of lp
+    from scipy's linprog, with >= rows flipped into <= rows."""
+    senses = np.asarray(lp.senses)
+    a = lp.a.tocsr()
+    eq = np.flatnonzero(senses == SENSE_EQ)
+    ub = np.flatnonzero(senses != SENSE_EQ)
+    sign = np.where(senses[ub] == SENSE_LE, 1.0, -1.0)
+    res = linprog(lp.cost, A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
+                  b_ub=sign * lp.rhs[ub] if ub.size else None,
+                  A_eq=a[eq] if eq.size else None,
+                  b_eq=lp.rhs[eq] if eq.size else None,
+                  bounds=np.column_stack([lp.lower, lp.upper]),
+                  method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+        res.status, "numerical")
+    if status != "optimal":
+        return (status,)
+    duals = np.zeros(lp.num_rows)
+    duals[eq] = res.eqlin.marginals
+    duals[ub] = sign * res.ineqlin.marginals
+    return (status, res.x, duals, res.lower.marginals, res.upper.marginals,
+            res.nit)
 
 
 class TestSolveLp:
@@ -176,12 +235,93 @@ class TestSolveLp:
                               res.reduced_upper, blocks=2)
         assert bad.lp_optimal(SolverOptions()).tolist() == [True, False]
 
+    def test_blocks_certified_once(self, monkeypatch):
+        # the stacked LP of two equal blocks, certified by solve_lp itself
+        rng = np.random.default_rng(5)
+        parts = [random_equality_lp(rng, m=3, n=6) for _ in range(2)]
+        stacked = LinearProgram.from_dense(
+            np.concatenate([c for _, _, c in parts]),
+            np.block([[parts[0][0], np.zeros((3, 6))],
+                      [np.zeros((3, 6)), parts[1][0]]]),
+            [SENSE_EQ] * 6, np.concatenate([b for _, b, _ in parts]),
+            lower=np.zeros(12))
+        res = solve_lp(stacked, blocks=2)
+        assert res.status == "optimal"
+        cert = backend.certify(stacked, res.x, res.duals, res.reduced_lower,
+                               res.reduced_upper, blocks=2)
+        for got, want in zip(vars(res.certificate).values(),
+                             vars(cert).values()):
+            assert_array_equal(got, want)
+        assert res.objective == cert.objective.sum()
+        assert res.dual_infeasibility == cert.dual_infeasibility.max()
+        # a dual error in the second block's raw solution fails that block,
+        # and with it the status
+        raw_solve = backend._highs_solve
+
+        def perturbed(lp):
+            out = raw_solve(lp)
+            out[3][4] += 1e-3
+            return out
+
+        monkeypatch.setattr(backend, "_highs_solve", perturbed)
+        bad = solve_lp(stacked, blocks=2)
+        assert bad.status == "numerical"
+        assert bad.certificate.lp_optimal(SolverOptions()).tolist() == [
+            True, False]
+        assert solve_lp(stacked).certificate.objective.shape == (1,)
+
+    def test_matches_linprog_reference(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(300):
+            lp = random_mixed_lp(rng)
+            ref = linprog_reference(lp)
+            res = solve_lp(lp)
+            seen.add(ref[0])
+            assert res.status == ref[0]
+            if ref[0] != "optimal":
+                continue
+            # exact float equality: the oracle's row flip can only turn the
+            # sign of a zero dual
+            for got, want in zip((res.x, res.duals, res.reduced_lower,
+                                  res.reduced_upper), ref[1:5]):
+                assert_array_equal(got, want, strict=True)
+            assert res.iterations == ref[5]
+        assert seen == {"optimal", "infeasible", "unbounded"}
+        # lower > upper on a column
+        lp = LinearProgram.from_dense([1.0, 1.0], [[1.0, 1.0]], [SENSE_LE],
+                                      [4.0], lower=[0.0, 2.0],
+                                      upper=[1.0, 1.0])
+        assert solve_lp(lp).status == linprog_reference(lp)[0] == "infeasible"
+        # linprog is the tests' oracle only: the package talks to HiGHS
+        # through the one adapter in backend.py
+        src = pathlib.Path(backend.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text()
+            assert "linprog" not in text, path.name
+            assert ("_highspy" in text) == (path.name == "backend.py")
+
+    def test_missing_bindings_named(self):
+        # without scipy's private HiGHS bindings the backend refuses to load
+        code = ("import sys\n"
+                "sys.modules['scipy.optimize._highspy._core'] = None\n"
+                "from evcs_premium import backend\n")
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode != 0
+        assert ("BackendError: the HiGHS bindings "
+                "scipy.optimize._highspy._core are missing") in run.stderr
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(BackendError):
             LinearProgram.from_dense([1.0, 2.0], [[1.0, 1.0]],
                                      [SENSE_LE, SENSE_LE], [1.0])
         with pytest.raises(BackendError):
             LinearProgram.from_dense([1.0], [[1.0]], ["<"], [1.0])
+        with pytest.raises(BackendError, match="LP lower must have 2 entries"):
+            LinearProgram.from_dense([1.0, 2.0], [[1.0, 1.0]], [SENSE_GE],
+                                     [1.0], lower=[0.0])
 
 
 def active_set_qp_oracle(q, c, g, h):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evcs_premium import dcopf
+from evcs_premium import backend, dcopf
 from evcs_premium.analytic import TypicalDaySet
 from evcs_premium.backend import SENSE_EQ, LinearProgram, solve_lp
 from evcs_premium.dcopf import (
@@ -241,9 +241,9 @@ def lp_calls(monkeypatch):
     """The LPs dcopf hands to solve_lp, in call order."""
     calls = []
 
-    def counting(lp, options=None):
+    def counting(lp, options=None, blocks=1):
         calls.append(lp)
-        return solve_lp(lp, options)
+        return solve_lp(lp, options, blocks=blocks)
 
     monkeypatch.setattr(dcopf, "solve_lp", counting)
     return calls
@@ -314,13 +314,16 @@ def test_unservable_hour_is_localized(lp_calls):
 
 
 def test_hour_missing_its_gates_is_named(monkeypatch):
-    # a dual error of 1e-3 $/MWh in hour 5 alone, far above its gate
-    def perturbed(lp, options=None):
-        res = solve_lp(lp, options)
-        res.duals[4 * lp.num_rows // 24] += 1e-3
-        return res
+    # a dual error of 1e-3 $/MWh in hour 5 alone, far above its gate,
+    # injected into HiGHS's raw solution before solve_lp certifies it
+    raw_solve = backend._highs_solve
 
-    monkeypatch.setattr(dcopf, "solve_lp", perturbed)
+    def perturbed(lp):
+        out = raw_solve(lp)
+        out[3][4 * lp.num_rows // 24] += 1e-3
+        return out
+
+    monkeypatch.setattr(backend, "_highs_solve", perturbed)
     with pytest.raises(DcopfError, match="day 'd1' hour 5: solution misses "
                                          "the optimality gates"):
         solve_dcopf(_two_bus(limit=200.0), "d1")

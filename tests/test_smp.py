@@ -86,6 +86,15 @@ class TestWeibull:
         with pytest.raises(smp.SmpError):
             smp.WeibullDist(shape=1.0, scale=-2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["shape", "scale"])
+    def test_non_finite_params_rejected(self, field, bad):
+        params = {"shape": 2.0, "scale": 3.0, field: bad}
+        with pytest.raises(smp.SmpError,
+                           match=f"^Weibull {field} must be finite and "
+                                 f"positive, got {bad!r}$"):
+            smp.WeibullDist(**params)
+
     def test_mean_moment_formula(self):
         d = smp.WeibullDist(shape=0.5, scale=7.0)
         assert_allclose(d.mean(), 7.0 * gamma_fn(3.0), rtol=1e-13)
