@@ -18,7 +18,7 @@ import numpy as np
 from . import dataio
 from .analytic import closed_form_premium
 from .cvar import robust_premium_bilevel
-from .dcopf import HOURS, per_day_dlmps
+from .dcopf import HOURS, evcs_tariff_cents, per_day_dlmps
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     reference_smp_model, typical_days
@@ -26,7 +26,6 @@ from .pipeline import CaseConfig, ReportBundle, run_case
 from .smp import STATES, attack_probability, relative_box, run_chain
 from .trilevel import ccg_solve, demand_scaling_sweep, \
     solve_trilevel_direct
-from .units import dollars_per_mwh_to_cents_per_kwh
 
 
 def _float_list(text):
@@ -55,8 +54,7 @@ def _tariff_from(args, network, days):
                 f"tariff days {ids} do not match demand days "
                 f"{tuple(days.day_ids)}")
         return tariff
-    from .dcopf import evcs_tariff_cents
-    return evcs_tariff_cents(network, days)
+    return evcs_tariff_cents(network, per_day_dlmps(network, days))
 
 
 def _risk_from(args):
@@ -136,10 +134,8 @@ def _cmd_dlmp(args):
                 for b, bus in enumerate(network.buses):
                     fh.write(f"{day},{t + 1},{bus},"
                              f"{results[s].dlmp[b, t]!r}\n")
-    row = network.bus_index()[network.evcs_bus]
-    tariff = np.array([dollars_per_mwh_to_cents_per_kwh(r.dlmp[row])
-                       for r in results])
-    dataio.write_tariff(os.path.join(args.out, "tariff.csv"), tariff,
+    dataio.write_tariff(os.path.join(args.out, "tariff.csv"),
+                        evcs_tariff_cents(network, results),
                         day_ids=days.day_ids)
     print(f"wrote {path} and tariff.csv "
           f"({len(days.day_ids)} days x {HOURS} hours x "

@@ -10,14 +10,17 @@ with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
 worst-case day cost. The insurer side is the premium fixed point
 x = f(x) = CL(lambda(x)), one core (premium_fixed_point) for the bi-level
 quote and for the tri-level principal, which adds a price floor. f is
-nondecreasing with slope below C/M < 1, and on a fixed active set lambda
-is affine in x, so f is piecewise affine: once the active set settles, a
-secant step through the last two iterates lands on the fixed point. The
-steps are safeguarded by the bracket the signs of g = f - x give (a
-secant step leaving it becomes the plain step x -> f(x)), and the damped
-plain step takes over after 50 iterations. Each price program starts its
-master from the active cuts of the previous one, valid inequalities of
-the new program, so it usually settles in one least-distance solve.
+nondecreasing with slope below C/M < 1. On a fixed active set lambda is
+affine in x (the cut right-hand sides w.a move with x, the floor rows do
+not), so the Newton step x + g / (1 - f') on g = f - x, with f' read from
+the final master's QR, lands on the root unless the active set changes
+on the way. It starts from the closed-form premium, exact at alpha = 1.
+A Newton point outside the bracket the signs of g give, or an unusable
+slope, falls back to the secant through the last two iterates, then to
+the plain step x -> f(x); the damped plain step takes over after 50
+iterations. Each price program starts its master from the active cuts of
+the previous one, valid inequalities of the new program, so it usually
+settles in one least-distance solve.
 
 The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
 holds exactly when w.c <= 0 for every vertex w of the risk envelope
@@ -61,6 +64,7 @@ Units: demand in kW, prices in cents/kWh, premiums in cents.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +72,7 @@ import numpy as np
 from .analytic import (
     PolicyFactors,
     TypicalDaySet,
+    closed_form_premium,
     composite_C,
     premium_multiplier_M,
 )
@@ -166,6 +171,10 @@ class RiskConfig:
     def resolved_policy(self):
         """Base policy with the box-constrained factors replaced by the
         bound_mode selection (lower ends, midpoints, or upper ends)."""
+        return self._resolved
+
+    @functools.cached_property
+    def _resolved(self):
         p, r, k = self.policy_box.select(self.bound_mode)
         return dataclasses.replace(self.policy, p_attack=p, loading=r,
                                    history_coeff=k)
@@ -186,10 +195,11 @@ class CvarSolution:
     tilted_weights: np.ndarray   # varphi / eta (original weights if eta = 0)
     alpha: float
     active_cuts: np.ndarray      # (k, S) risk-envelope vertices with y > 0
+    price_slope: np.ndarray      # (T,) d lambda / d x_hat on that active set
 
     def __post_init__(self):
         for name in ("charging_price", "zeta", "varphi", "mu", "beta",
-                     "tilted_weights", "active_cuts"):
+                     "tilted_weights", "active_cuts", "price_slope"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         for name in ("zeta", "varphi", "mu", "beta"):
@@ -334,14 +344,15 @@ def _cost_pieces(days, x_hat, policy, tariff):
 _MAX_CUT_ROUNDS = 200
 
 
-def _least_distance(g, h):
+def _least_distance(g, h, dh):
     """min ||x||^2 s.t. g x >= h, as NNLS on [g^T; h^T] u ~ e_last.
 
     Lawson & Hanson's least-distance reduction: with r = E u - e_last,
     x = -r[:n] / r[n] = g^T u / (1 - h.u). The right-hand side is scaled
     to unit size first, which scales x alike. One exact solve on the rows
-    with positive multipliers then polishes the point. Returns (x, y) with
-    2 x = g^T y and y >= 0.
+    with positive multipliers then polishes the point. Returns (x, y, dx)
+    with 2 x = g^T y, y >= 0 and dx the derivative of x as h moves along
+    dh on that active set, read from the same QR (NaN when unpolished).
     """
     scale = float(np.abs(h).max(initial=0.0)) or 1.0
     hs = h / scale
@@ -358,6 +369,7 @@ def _least_distance(g, h):
     y = u * (2.0 * scale / den)
     x = 0.5 * (g.T @ y)
 
+    dx = np.full(x.size, np.nan)
     active = np.flatnonzero(u > 0.0)
     if 0 < active.size <= g.shape[1]:
         q, r = np.linalg.qr(g[active].T)
@@ -365,15 +377,15 @@ def _least_distance(g, h):
             z = np.linalg.solve(r.T, h[active])
             ya = 2.0 * np.linalg.solve(r, z)
         except np.linalg.LinAlgError:
-            return x, y
+            return x, y, dx
         xp = q @ z
         size = 1.0 + float(np.abs(y).max())
         if (ya.min() >= -1e-9 * size
                 and float(np.min(g @ xp - h)) >= -1e-9 * scale):
             y = np.zeros(h.size)
             y[active] = np.maximum(ya, 0.0)
-            x = xp
-    return x, y
+            x, dx = xp, q @ np.linalg.solve(r.T, dh[active])
+    return x, y, dx
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
@@ -430,12 +442,13 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
 
     # Cut rows are divided by a reference daily energy so the master stays
     # O(1) at any demand scale; their multipliers map back as y / d_ref.
-    d_ref = max(float(d.sum(axis=1).mean()), 1e-9)
+    energy = d.sum(axis=1)       # d a^s / d x_hat
+    d_ref = max(float(energy.mean()), 1e-9)
     pos = np.flatnonzero(floor > 0.0)
     floor_rows = np.eye(n_hour)[pos]
-    cuts, rows, rhs = [], [], []
+    cuts, rows, rhs, drhs = [], [], [], []
     keys = set()
-    lam = floor.copy()
+    lam, dlam = floor.copy(), np.zeros(n_hour)
     y = np.zeros(0)
     fresh = seeds
     for _ in range(_MAX_CUT_ROUNDS):
@@ -445,9 +458,12 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
                 cuts.append(w)
                 rows.append(m * (w @ d) / d_ref)
                 rhs.append(float(w @ a) / d_ref)
+                drhs.append(float(w @ energy) / d_ref)
         if len(fresh):
-            lam, y = _least_distance(np.vstack(rows + [floor_rows]),
-                                     np.concatenate([rhs, floor[pos]]))
+            lam, y, dlam = _least_distance(
+                np.vstack(rows + [floor_rows]),
+                np.concatenate([rhs, floor[pos]]),
+                np.concatenate([drhs, np.zeros(pos.size)]))
         costs = a - m * (d @ lam)
         w, last = _tail_vertex(costs, phi, alpha)
         # A repeated vertex is satisfied up to rounding by the master's
@@ -476,7 +492,8 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
                         varphi=varphi, mu=mu, beta=beta,
                         cvar_value=float(w @ costs), tilted_weights=tilted,
-                        alpha=alpha, active_cuts=cut_matrix[y_cut > 0.0])
+                        alpha=alpha, active_cuts=cut_matrix[y_cut > 0.0],
+                        price_slope=dlam)
 
 
 @dataclass(frozen=True)
@@ -561,15 +578,16 @@ def _certified(solution, days, x_hat, config, tariff, price_floor=None):
 
 
 def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
-                        floor=None, *, x_start=0.0, max_iters=500):
+                        floor=None, *, x_start=None, max_iters=500):
     """Certified premium x = C * rev(lambda(x / sum_t D_t)) (cents).
 
     rev is the likelihood-weighted charging revenue at the station's
-    prices, kept above floor when one is given. Secant steps in the
-    bracket of the root (see the module docstring) run until
-    |f(x) - x| <= 1e-12 (1 + |x|); the quote at that x carries the
-    residual of every iteration as its trace and the KKT certificate of
-    its price program. FixedPointError after max_iters iterations.
+    prices, kept above floor when one is given. Safeguarded Newton steps
+    from x_start, by default the closed-form premium (see the module
+    docstring), run until |f(x) - x| <= 1e-12 (1 + |x|); the quote at
+    that x carries the residual of every iteration as its trace and the
+    KKT certificate of its price program. FixedPointError after max_iters
+    iterations.
     """
     policy = config.resolved_policy()
     c_comp = composite_C(policy)
@@ -581,6 +599,9 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
             f"composite factor C={c_comp:g} at or above the demand "
             f"multiplier M={premium_multiplier_M(policy):g}; "
             "the premium recursion has no finite fixed point")
+    if x_start is None:
+        x_start = max(closed_form_premium(
+            policy, days, _day_tariff(days, tariff)).premium, 0.0)
     x = float(x_start)
     if x < 0:
         raise RiskError(f"x_start must be nonnegative, got {x_start}")
@@ -602,10 +623,13 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
         else:
             hi = min(hi, x)
         x_next = x + (g if k < 50 else 0.5 * g)
-        if k < 50 and prev is not None and g != prev[1]:
-            secant = x - g * (x - prev[0]) / (g - prev[1])
-            if lo < secant < hi:
-                x_next = secant
+        if k < 50:
+            s = c_comp * float(days.likelihood @ (
+                days.demand_kw @ sol.price_slope)) / total
+            steps = [x + g / (1.0 - s)] if s < 1.0 else []
+            if prev is not None and g != prev[1]:
+                steps.append(x - g * (x - prev[0]) / (g - prev[1]))
+            x_next = next((t for t in steps if lo < t < hi), x_next)
         prev = (x, g)
         x = x_next
     else:
@@ -623,7 +647,7 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
 
 
 def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
-                           x_start=0.0, max_iters=500):
+                           x_start=None, max_iters=500):
     """Fixed point of x -> CL(lambda(x)) at the configured box ends.
 
     The claim limit CL uses the original day likelihoods (the insurer does

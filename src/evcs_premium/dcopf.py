@@ -42,6 +42,7 @@ from .backend import (
     SolverOptions,
     solve_lp,
 )
+from .units import dollars_per_mwh_to_cents_per_kwh, kw_to_mw
 
 HOURS = 24
 
@@ -394,8 +395,6 @@ def predetermined_tariff(network: Network, days, *,
 def per_day_dlmps(network: Network, days, *,
                   options: SolverOptions | None = None):
     """Solve every typical day with its EVCS demand; list of DlmpResult."""
-    from .units import kw_to_mw
-
     out = []
     for s, day in enumerate(days.day_ids):
         ev_mw = kw_to_mw(days.demand_kw[s])
@@ -403,12 +402,9 @@ def per_day_dlmps(network: Network, days, *,
     return out
 
 
-def evcs_tariff_cents(network: Network, days, *,
-                      options: SolverOptions | None = None):
-    """(S, 24) per-day tariff at the EVCS bus in cents/kWh."""
-    from .units import dollars_per_mwh_to_cents_per_kwh
-
-    results = per_day_dlmps(network, days, options=options)
+def evcs_tariff_cents(network: Network, results):
+    """(S, 24) per-day tariff at the EVCS bus in cents/kWh, read from the
+    per_day_dlmps results of that network."""
     row = network.bus_index()[network.evcs_bus]
     return np.array([dollars_per_mwh_to_cents_per_kwh(r.dlmp[row])
                      for r in results])

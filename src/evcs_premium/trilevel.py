@@ -43,8 +43,7 @@ from .backend import SolverOptions
 from .cvar import PremiumQuote, RiskConfig, RiskError, _certified, \
     premium_fixed_point, robust_premium_bilevel, solve_risk_averse_evcs
 from .dcopf import DcopfError, HOURS, Network, \
-    dual_feasibility_check, per_day_dlmps
-from .units import dollars_per_mwh_to_cents_per_kwh
+    dual_feasibility_check, evcs_tariff_cents, per_day_dlmps
 
 DUALITY_GATE = 1e-8
 CUT_SLACK = 1e-9
@@ -190,9 +189,7 @@ def _grid_blocks(network, days, options):
         raise TrilevelError(
             f"grid block verification failed: {bad} residual "
             f"{fam[bad]:g} exceeds {DUALITY_GATE:g}")
-    row = network.bus_index()[network.evcs_bus]
-    tariff = np.array([dollars_per_mwh_to_cents_per_kwh(r.dlmp[row])
-                       for r in results])
+    tariff = evcs_tariff_cents(network, results)
     gaps = np.array([abs(r.c_ll - r.c_dll) / (1.0 + abs(r.c_ll))
                      for r in results])
     return results, tariff, gaps
@@ -234,7 +231,7 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
     floor = np.zeros(HOURS)
     cuts = []
     trace = []
-    x_start = 0.0
+    x_start = None
     for k in range(1, max_iters + 1):
         principal = premium_fixed_point(days, config, tariff, floor,
                                         x_start=x_start)

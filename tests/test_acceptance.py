@@ -246,8 +246,9 @@ def test_criterion_05_closed_form_vs_bilevel():
 
 def test_criterion_06_break_even_certificates():
     rng = np.random.default_rng(66)
+    net = manhattan7()
     instances = [(default_policy(), typical_days(),
-                  evcs_tariff_cents(manhattan7(), typical_days()))]
+                  evcs_tariff_cents(net, per_day_dlmps(net, typical_days())))]
     instances += [_random_instance(rng) for _ in range(10)]
     worst_cost = 0.0
     worst_claim = 0.0
@@ -306,12 +307,13 @@ def test_criterion_07_cvar_oracles():
 
 def test_criterion_08_kkt_certificates():
     days = typical_days()
-    tariff = evcs_tariff_cents(manhattan7(), days)
+    net = manhattan7()
+    tariff = evcs_tariff_cents(net, per_day_dlmps(net, days))
     cells = [(days, tariff, alpha, bound)
              for alpha in (1.0, 0.5, 0.0)
              for bound in ("lower", "expected", "upper")]
     scaled = days.scaled(400.0)
-    cells.append((scaled, evcs_tariff_cents(manhattan7(), scaled),
+    cells.append((scaled, evcs_tariff_cents(net, per_day_dlmps(net, scaled)),
                   0.5, "upper"))
     worst = 0.0
     worst_identity = 0.0
@@ -407,7 +409,7 @@ def test_criterion_10_ccg_equals_direct():
 def test_criterion_11_qualitative_trends():
     net = manhattan7()
     days = typical_days()
-    tariff = evcs_tariff_cents(net, days)
+    tariff = evcs_tariff_cents(net, per_day_dlmps(net, days))
     failures = []
 
     rows = demand_scaling_sweep(net, days, default_risk_config())

@@ -19,13 +19,14 @@ from evcs_premium.analytic import (
     premium_multiplier_M,
     sensitivity_sweep,
 )
-from evcs_premium.dcopf import evcs_tariff_cents
+from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import default_policy, manhattan7, typical_days
 
 
 @pytest.fixture(scope="module")
 def grid_tariff():
-    return evcs_tariff_cents(manhattan7(), typical_days())
+    net = manhattan7()
+    return evcs_tariff_cents(net, per_day_dlmps(net, typical_days()))
 
 
 def test_default_composite_factors():

@@ -16,6 +16,7 @@ from evcs_premium.analytic import (
     premium_multiplier_M,
 )
 from evcs_premium.backend import SENSE_GE, SENSE_LE, ConvexQP, solve_qp
+from evcs_premium import cvar
 from evcs_premium.cvar import (
     FixedPointError,
     PolicyBox,
@@ -31,7 +32,7 @@ from evcs_premium.cvar import (
     solve_risk_averse_evcs,
     worst_case_scenario_cost,
 )
-from evcs_premium.dcopf import evcs_tariff_cents
+from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import (
     default_policy,
     default_risk_config,
@@ -42,7 +43,8 @@ from evcs_premium.fixtures import (
 
 @pytest.fixture(scope="module")
 def grid_tariff():
-    return evcs_tariff_cents(manhattan7(), typical_days())
+    net = manhattan7()
+    return evcs_tariff_cents(net, per_day_dlmps(net, typical_days()))
 
 
 def _point_config(policy, alpha, bound_mode="expected"):
@@ -247,14 +249,91 @@ def _picard_premium(days, config, tariff):
     raise AssertionError("plain iteration did not settle")
 
 
+def _count_programs(monkeypatch):
+    """Route premium_fixed_point's price programs through a recorder;
+    returns the list of (x_hat, solution) it fills."""
+    calls = []
+    solve = cvar.solve_risk_averse_evcs
+
+    def recorded(days, x_hat, *args, **kwargs):
+        sol = solve(days, x_hat, *args, **kwargs)
+        calls.append((x_hat, sol))
+        return sol
+
+    monkeypatch.setattr(cvar, "solve_risk_averse_evcs", recorded)
+    return calls
+
+
 def test_fixed_point_settles_in_few_iterations(grid_tariff):
     for cell in _fixture_cells(grid_tariff):
-        assert robust_premium_bilevel(*cell).iterations <= 4
+        assert robust_premium_bilevel(*cell).iterations <= 2
     counts = [robust_premium_bilevel(*cell).iterations
               for cell in _quote_like(48)]
-    # two active-set changes on the way cost a fifth iteration
-    assert max(counts) <= 5
-    assert np.mean(counts) <= 3.5
+    # an active-set change between the start and the root costs a third
+    assert max(counts) <= 3
+    assert np.mean(counts) <= 2.2
+
+
+def test_fixture_quotes_take_at_most_two_programs(grid_tariff,
+                                                   monkeypatch):
+    """The closed-form start is exact at alpha = 1; elsewhere one Newton
+    step from it lands on the root and a second program confirms it."""
+    calls = _count_programs(monkeypatch)
+    for days, config, tariff in _fixture_cells(grid_tariff):
+        calls.clear()
+        quote = robust_premium_bilevel(days, config, tariff)
+        assert len(calls) == quote.iterations
+        assert len(calls) <= (1 if config.alpha == 1.0 else 2)
+
+
+def test_floored_fixed_point_takes_at_most_two_programs(grid_tariff,
+                                                        monkeypatch):
+    """Floor rows on the evening peak bind next to a tail cut; the
+    Newton slope holds the floored hours still."""
+    days = typical_days()
+    config = default_risk_config(alpha=0.5)
+    lam = robust_premium_bilevel(days, config, grid_tariff).charging_price
+    floor = np.zeros(lam.size)
+    floor[17:20] = 1.2 * lam[17:20]
+    calls = _count_programs(monkeypatch)
+    quote = premium_fixed_point(days, config, grid_tariff, floor)
+    assert len(calls) <= 2
+    sol = quote.solution
+    assert len(sol.active_cuts) > 0
+    assert np.all(quote.charging_price >= floor - 1e-9)
+    assert quote.kkt_max_residual <= 1e-6
+    # lambda is affine in x_hat on the active set: the slope is exact
+    step = 1e-4 * quote.per_kwh
+    up = solve_risk_averse_evcs(days, quote.per_kwh + step, config,
+                                grid_tariff, price_floor=floor)
+    assert_allclose((up.charging_price - sol.charging_price) / step,
+                    sol.price_slope, rtol=0.0, atol=1e-6)
+
+
+def test_active_set_change_takes_the_fallback(monkeypatch):
+    """Above the root the negative-tariff day binds too, and the Newton
+    point of that piece is negative: the step falls back to the plain
+    step, and the next piece's Newton step finds the root."""
+    days = TypicalDaySet(np.array([0.5, 0.5]),
+                         np.array([[10.0, 1.0, 1.0], [1.0, 1.0, 50.0]]))
+    tariff = np.array([3.0, 3.0, -20.0])
+    config = default_risk_config(alpha=0.5, bound_mode="upper")
+    c_comp = composite_C(config.resolved_policy())
+    total = float(days.weighted_demand.sum())
+    calls = _count_programs(monkeypatch)
+    quote = premium_fixed_point(days, config, tariff, x_start=1000.0)
+    (x0, start), (x1, _) = calls[0], calls[1]
+    root = calls[-1][1]
+    assert not np.array_equal(start.active_cuts, root.active_cuts)
+    f0 = c_comp * float(days.likelihood @ (days.demand_kw
+                                           @ start.charging_price))
+    slope = c_comp * float(days.likelihood @ (days.demand_kw
+                                              @ start.price_slope)) / total
+    assert 1000.0 + (f0 - 1000.0) / (1.0 - slope) < 0.0
+    assert abs(x1 * total - f0) <= 1e-12 * f0
+    picard = _picard_premium(days, config, tariff)
+    assert abs(quote.premium - picard) <= 1e-9 * picard
+    assert quote.kkt_max_residual <= 1e-6
 
 
 def test_fixed_point_matches_plain_iteration(grid_tariff):

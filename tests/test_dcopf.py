@@ -264,7 +264,8 @@ def test_single_bus_tariff_is_the_marginal_cost():
     table = predetermined_tariff(net, days)
     assert_allclose(table, 7.0, atol=1e-9)
     # 7 $/MWh is 0.7 cents per kWh
-    assert_allclose(evcs_tariff_cents(net, days), 0.7, atol=1e-10)
+    assert_allclose(evcs_tariff_cents(net, per_day_dlmps(net, days)), 0.7,
+                    atol=1e-10)
 
 
 def test_fixture_congestion_appears_at_scale():
@@ -282,7 +283,8 @@ def test_fixture_congestion_appears_at_scale():
 
 
 def test_fixture_binding_sets_vary_by_day():
-    tariff = evcs_tariff_cents(manhattan7(), typical_days())
+    net = manhattan7()
+    tariff = evcs_tariff_cents(net, per_day_dlmps(net, typical_days()))
     assert tariff.shape == (4, 24)
     row_gaps = np.abs(tariff - tariff[0]).max(axis=1)
     assert np.any(row_gaps[1:] > 1e-6)

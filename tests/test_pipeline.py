@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from evcs_premium import cli, dataio
-from evcs_premium.dcopf import evcs_tariff_cents
+from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import (
     default_policy,
     default_risk_config,
@@ -108,8 +108,9 @@ def test_network_roundtrip(tmp_path):
     assert back.buses == net.buses
     assert back.evcs_bus == net.evcs_bus
     days = typical_days()
-    assert np.array_equal(evcs_tariff_cents(back, days),
-                          evcs_tariff_cents(net, days))
+    assert np.array_equal(
+        evcs_tariff_cents(back, per_day_dlmps(back, days)),
+        evcs_tariff_cents(net, per_day_dlmps(net, days)))
 
 
 def test_transitions_roundtrip(tmp_path):
@@ -141,7 +142,8 @@ def test_policy_and_risk_config_roundtrip(tmp_path):
 
 def test_tariff_roundtrip_both_forms(tmp_path):
     per_day = tmp_path / "tariff_day.csv"
-    tariff = evcs_tariff_cents(manhattan7(), typical_days())
+    net = manhattan7()
+    tariff = evcs_tariff_cents(net, per_day_dlmps(net, typical_days()))
     dataio.write_tariff(per_day, tariff, day_ids=typical_days().day_ids)
     back, ids = dataio.load_tariff(per_day)
     assert ids == typical_days().day_ids
@@ -332,7 +334,8 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
 
 
 def test_cli_rejects_mismatched_tariff_days(tmp_path, capsys):
-    tariff = evcs_tariff_cents(manhattan7(), typical_days())
+    net = manhattan7()
+    tariff = evcs_tariff_cents(net, per_day_dlmps(net, typical_days()))
     path = tmp_path / "tariff.csv"
     dataio.write_tariff(path, tariff, day_ids=("p", "q", "r", "s"))
     rc = cli.main(["--out", str(tmp_path), "premium-analytic",
