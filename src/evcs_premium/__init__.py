@@ -6,8 +6,8 @@ Submodules:
     dcopf     DC optimal power flow and distribution locational prices
     analytic  closed-form bi-level premium under a predetermined tariff
     cvar      risk-averse (CVaR) pricing and the robust bi-level premium
-    trilevel  tri-level pricing under an optimized tariff (direct and
-              column-and-constraint generation)
+    trilevel  tri-level pricing under an optimized tariff (direct, and
+              one certified column-and-constraint generation round)
     dataio    CSV/JSON loaders and writers
     fixtures  reference parameters and the synthetic case network
     pipeline  end-to-end case runs and report emission
@@ -17,6 +17,7 @@ The names most workflows touch are re-exported here; everything else is
 reachable through its submodule.
 """
 
+from . import backend  # imported first: it names missing HiGHS bindings
 from .analytic import (
     AnalyticError,
     PolicyFactors,
@@ -27,7 +28,6 @@ from .analytic import (
     expected_breakeven_cost,
     sensitivity_sweep,
 )
-from .backend import SolverOptions
 from .cvar import (
     PolicyBox,
     PremiumQuote,
@@ -70,7 +70,6 @@ from .smp import (
     run_chain,
 )
 from .trilevel import (
-    CcgNonConvergenceError,
     TrilevelError,
     TrilevelQuote,
     ccg_solve,
@@ -82,11 +81,11 @@ from .trilevel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticError", "CaseConfig", "CaseError", "CcgNonConvergenceError",
-    "ConfidenceBox", "DcopfError", "Generator", "Line", "Network",
+    "AnalyticError", "CaseConfig", "CaseError", "ConfidenceBox",
+    "DcopfError", "Generator", "Line", "Network",
     "PolicyBox", "PolicyFactors", "PremiumQuote", "PricingInfeasibleError",
     "RiskConfig", "RiskError", "RiskInfeasibleError", "SmpError", "SmpModel",
-    "SolverOptions", "TrilevelError", "TrilevelQuote", "TypicalDaySet",
+    "TrilevelError", "TrilevelQuote", "TypicalDaySet",
     "WeibullDist", "attack_probability", "ccg_solve",
     "check_sweep_monotonicity", "claim_loss", "closed_form_premium",
     "confidence_box", "cvar_sup", "default_policy", "default_risk_config",

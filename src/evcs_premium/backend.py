@@ -37,12 +37,13 @@ SENSE_GE = ">="
 SENSE_EQ = "="
 _SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 
-_DEFAULT_FEAS_TOL = 1e-9
-_DEFAULT_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-9
+_GAP_TOL = 1e-8
+_IPM_MAX_ITER = 100
 
 
 class BackendError(ValueError):
-    """Raised for malformed problems or solver-option violations."""
+    """Raised for malformed problems."""
 
 
 try:  # private API, shipped with scipy 1.17
@@ -64,29 +65,6 @@ _STATUS = {_highs.HighsModelStatus.kInfeasible: "infeasible",
            _highs.HighsModelStatus.kUnbounded: "unbounded"}
 _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
-
-
-@dataclass
-class SolverOptions:
-    """Tolerances for the backend. Configurable only downward (tighter)."""
-
-    feas_tol: float = _DEFAULT_FEAS_TOL
-    gap_tol: float = _DEFAULT_GAP_TOL
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.feas_tol > _DEFAULT_FEAS_TOL:
-            raise BackendError(
-                f"feas_tol may only be tightened below {_DEFAULT_FEAS_TOL:g}, "
-                f"got {self.feas_tol:g}"
-            )
-        if self.gap_tol > _DEFAULT_GAP_TOL:
-            raise BackendError(
-                f"gap_tol may only be tightened below {_DEFAULT_GAP_TOL:g}, "
-                f"got {self.gap_tol:g}"
-            )
-        if self.max_iter < 1:
-            raise BackendError("max_iter must be positive")
 
 
 @dataclass
@@ -188,13 +166,12 @@ class Certificate:
     comp_slack: np.ndarray
     cost_scale: np.ndarray
 
-    def lp_optimal(self, options: SolverOptions):
+    def lp_optimal(self):
         """Per block, whether an LP solution passes solve_lp's gates."""
-        tol = options.feas_tol
-        return ((self.primal_infeasibility <= tol)
-                & (self.dual_infeasibility <= tol * self.cost_scale)
+        return ((self.primal_infeasibility <= _FEAS_TOL)
+                & (self.dual_infeasibility <= _FEAS_TOL * self.cost_scale)
                 & (self.duality_gap
-                   <= options.gap_tol * (1.0 + np.abs(self.objective))))
+                   <= _GAP_TOL * (1.0 + np.abs(self.objective))))
 
 
 def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
@@ -285,8 +262,7 @@ def _highs_solve(lp):
             highs.getInfo().simplex_iteration_count)
 
 
-def solve_lp(lp: LinearProgram, options: SolverOptions | None = None,
-             blocks: int = 1) -> SolveResult:
+def solve_lp(lp: LinearProgram, blocks: int = 1) -> SolveResult:
     """Solve an LP with HiGHS, returning sensitivity-convention duals.
 
     The solution is certified once, per block (see :func:`certify`): the
@@ -309,13 +285,12 @@ def solve_lp(lp: LinearProgram, options: SolverOptions | None = None,
                      f"{np.searchsorted(lp.a.indptr, i, side='right') - 1}"
                      if name == "matrix value" else f"index {i}")
             raise BackendError(f"LP {name} at {where} is {float(values[i])!r}")
-    opts = options or SolverOptions()
     status, message, x, duals, red_lo, red_up, iters = _highs_solve(lp)
     if x is None:
         return SolveResult(_STATUS.get(status, "numerical"), None, None,
                            None, None, None, message=message)
     cert = certify(lp, x, duals, red_lo, red_up, blocks)
-    status = "optimal" if cert.lp_optimal(opts).all() else "numerical"
+    status = "optimal" if cert.lp_optimal().all() else "numerical"
     return _result(status, x, duals, red_lo, red_up, cert, iters)
 
 
@@ -381,7 +356,7 @@ def _kkt_solve(q, e, g, w, r1, r2, r3):
     return sol[:n], sol[n:n + me], sol[n + me:]
 
 
-def _ipm(q, c, e, f, g, h, max_iter):
+def _ipm(q, c, e, f, g, h):
     """Mehrotra predictor-corrector for min .5 x q x + c x, Ex=f, Gx<=h."""
     n, me, mi = c.size, f.size, h.size
     if mi == 0:
@@ -398,7 +373,7 @@ def _ipm(q, c, e, f, g, h, max_iter):
     s = np.maximum(1.0, np.abs(h - g @ x))
     y = np.ones(mi)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _IPM_MAX_ITER + 1):
         r_d = q * x + c + (e.T @ nu if me else 0.0) + g.T @ y
         r_e = (e @ x - f) if me else np.zeros(0)
         r_i = g @ x + s - h
@@ -435,7 +410,7 @@ def _ipm(q, c, e, f, g, h, max_iter):
         s = np.maximum(s + step * ds, 1e-300)
         if np.max(np.abs(x)) > 1e12 * scale:
             raise _Unbounded
-    return x, nu, y, s, max_iter
+    return x, nu, y, s, _IPM_MAX_ITER
 
 
 class _Unbounded(Exception):
@@ -486,9 +461,8 @@ def _polish(q, c, e, f, g, h, x, nu, y):
     return xp, nup, np.maximum(yp, 0.0)
 
 
-def solve_qp(qp: ConvexQP, options: SolverOptions | None = None) -> SolveResult:
+def solve_qp(qp: ConvexQP) -> SolveResult:
     """Solve a diagonal-PSD QP; duals follow the sensitivity convention."""
-    opts = options or SolverOptions()
     n, m = qp.num_vars, qp.num_rows
 
     # Certify row feasibility with an LP phase before running the IPM.
@@ -500,7 +474,7 @@ def solve_qp(qp: ConvexQP, options: SolverOptions | None = None) -> SolveResult:
 
     e, f, g, h, tags = _canonical_ineq(qp)
     try:
-        x, nu, y, s, iters = _ipm(qp.q_diag, qp.cost, e, f, g, h, opts.max_iter)
+        x, nu, y, s, iters = _ipm(qp.q_diag, qp.cost, e, f, g, h)
     except _Unbounded:
         return SolveResult("unbounded", None, None, None, None, None,
                            message="iterates diverged")
@@ -528,7 +502,7 @@ def solve_qp(qp: ConvexQP, options: SolverOptions | None = None) -> SolveResult:
     cert = certify(qp, x, duals, red_lo, red_up)
     scale = abs(cert.objective[0]) + cert.cost_scale[0]
     status = "optimal"
-    if not (cert.primal_infeasibility[0] <= opts.feas_tol * scale
+    if not (cert.primal_infeasibility[0] <= _FEAS_TOL * scale
             and cert.dual_infeasibility[0] <= 1e-8 * scale):
         status = "numerical"
     return _result(status, x, duals, red_lo, red_up, cert, iters)

@@ -78,12 +78,8 @@ def _write_quote(out, quote, name="premium_quote", extra=None):
     if extra:
         doc.update(extra)
     dataio._write_json(os.path.join(out, f"{name}.json"), doc)
-    with open(os.path.join(out, "lambda_c.csv"), "w", newline="") as fh:
-        fh.write("# charging price; units: lambda_c in cents/kWh, "
-                 "hour in 1..24\n")
-        fh.write("hour,lambda_c\n")
-        for t in range(HOURS):
-            fh.write(f"{t + 1},{quote.charging_price[t]!r}\n")
+    dataio.write_charging_price(os.path.join(out, "lambda_c.csv"),
+                                quote.charging_price)
     return doc
 
 
@@ -125,15 +121,7 @@ def _cmd_dlmp(args):
     results = per_day_dlmps(network, days)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dlmp.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("# locational marginal prices; units: dlmp in $/MWh, "
-                 "hour in 1..24\n")
-        fh.write("day,hour,bus,dlmp\n")
-        for s, day in enumerate(days.day_ids):
-            for t in range(HOURS):
-                for b, bus in enumerate(network.buses):
-                    fh.write(f"{day},{t + 1},{bus},"
-                             f"{results[s].dlmp[b, t]!r}\n")
+    dataio.write_dlmp(path, network, results)
     dataio.write_tariff(os.path.join(args.out, "tariff.csv"),
                         evcs_tariff_cents(network, results),
                         day_ids=days.day_ids)
@@ -158,13 +146,9 @@ def _cmd_premium_analytic(args):
         "composite_c": solution.composite_c,
     }
     dataio._write_json(os.path.join(args.out, "analytic.json"), doc)
-    with open(os.path.join(args.out, "lambda_c.csv"), "w",
-              newline="") as fh:
-        fh.write("# closed-form charging price; units: lambda_c in "
-                 "cents/kWh, hour in 1..24\n")
-        fh.write("hour,lambda_c\n")
-        for t in range(HOURS):
-            fh.write(f"{t + 1},{solution.charging_price[t]!r}\n")
+    dataio.write_charging_price(os.path.join(args.out, "lambda_c.csv"),
+                                solution.charging_price,
+                                "closed-form charging price")
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -255,8 +239,6 @@ def build_parser():
                     "stations")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default: ./out)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="random seed for simulation helpers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smp", help="attack-chain probabilities")

@@ -4,23 +4,23 @@ The charging station picks its price vector by minimizing ||lambda||^2
 subject to a CVaR restriction keeping the alpha-tail of its per-day net
 cost nonpositive:
 
-    min ||lambda||^2  s.t.  lambda >= floor,  CVaR_alpha(a - m D lambda) <= 0
+    min ||lambda||^2  s.t.  lambda >= 0,  CVaR_alpha(a - m D lambda) <= 0
 
 with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
 worst-case day cost. The insurer side is the premium fixed point
 x = f(x) = CL(lambda(x)), one core (premium_fixed_point) for the bi-level
-quote and for the tri-level principal, which adds a price floor. f is
+quote and for the principal of the tri-level CCG round. f is
 nondecreasing with slope below C/M < 1. On a fixed active set lambda is
-affine in x (the cut right-hand sides w.a move with x, the floor rows do
-not), so the Newton step x + g / (1 - f') on g = f - x, with f' read from
-the final master's QR, lands on the root unless the active set changes
-on the way. It starts from the closed-form premium, exact at alpha = 1.
-A Newton point outside the bracket the signs of g give, or an unusable
-slope, falls back to the secant through the last two iterates, then to
-the plain step x -> f(x); the damped plain step takes over after 50
-iterations. Each price program starts its master from the active cuts of
-the previous one, valid inequalities of the new program, so it usually
-settles in one least-distance solve.
+affine in x (the cut right-hand sides w.a move with x), so the Newton
+step x + g / (1 - f') on g = f - x, with f' read from the final master's
+QR, lands on the root unless the active set changes on the way. It
+starts from the closed-form premium, exact at alpha = 1. A Newton point
+outside the bracket the signs of g give, or an unusable slope, falls
+back to the secant through the last two iterates, then to the plain step
+x -> f(x); the damped plain step takes over after 50 iterations. Each
+price program starts its master from the active cuts of the previous
+one, valid inequalities of the new program, so it usually settles in one
+least-distance solve.
 
 The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
 holds exactly when w.c <= 0 for every vertex w of the risk envelope
@@ -29,10 +29,9 @@ Uryasev, J. Risk 2000). At the current prices the sort-and-fill vertex
 of cvar_sup is the most violated one (a one-hot on the worst day at
 alpha = 0, phi itself at alpha = 1); it enters the master problem as the
 cut m (D^T w).lambda >= a.w. The master, a minimum-norm point under
-finitely many cuts plus the rows lambda_t >= floor_t of the positive
-floors, is a least-distance program solved by Lawson-Hanson NNLS
-(Solving Least Squares Problems, 1974, ch. 23) and polished by one exact
-solve on its rows with positive multipliers. The rounds end when the
+finitely many cuts, is a least-distance program solved by Lawson-Hanson
+NNLS (Solving Least Squares Problems, 1974, ch. 23) and polished by one
+exact solve on its rows with positive multipliers. The rounds end when the
 most violated vertex is already a cut or not violated at all; Q_alpha
 has finitely many vertices, so they are finite.
 
@@ -40,7 +39,7 @@ Feasibility is decided in closed form. Since p_attack and risk_share lie
 in [0, 1], m >= 0. For m > 0 the program is always feasible (raising the
 prices lowers every day cost with demand, and a zero-demand day has
 a^s = 0); for m = 0 the costs do not depend on the prices, so it is
-feasible exactly when CVaR_alpha(a) <= 0, at lambda = floor.
+feasible exactly when CVaR_alpha(a) <= 0, at lambda = 0.
 
 The certificate is reported in the conventions of the break-even program
 
@@ -389,16 +388,13 @@ def _least_distance(g, h, dh):
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
-                           tariff, *, price_floor=None, seed_cuts=None):
+                           tariff, *, seed_cuts=None):
     """Minimum-norm charging prices keeping the alpha-tail cost nonpositive.
 
     tariff may be one (T,) schedule or a per-day (S, T) table in cents/kWh;
-    x_hat is the premium surcharge in cents/kWh. price_floor, when given,
-    is a per-hour lower bound on the price (used by the cutting scheme in
-    the tri-level solver); the default is zero. With a nonzero floor the
-    beta multipliers belong to lambda >= floor; pass the same floor to
-    kkt_report. Solved exactly by cutting planes over the vertices of the
-    risk envelope (see the module docstring).
+    x_hat is the premium surcharge in cents/kWh. Solved exactly by cutting
+    planes over the vertices of the risk envelope (see the module
+    docstring).
 
     seed_cuts, a (k, S) array of points of Q_alpha such as the
     active_cuts of an earlier solution on the same days and alpha, enters
@@ -415,13 +411,6 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     phi = days.likelihood
     n_day, n_hour = d.shape
     alpha = config.alpha
-    if price_floor is None:
-        floor = np.zeros(n_hour)
-    else:
-        floor = np.asarray(price_floor, dtype=float)
-        if floor.shape != (n_hour,) or not np.all(floor >= 0.0):
-            raise RiskError("price_floor must be a nonnegative per-hour "
-                            "vector")
     if m == 0.0 and cvar_sup(a, phi, alpha) > 0.0:
         if alpha == 0.0:
             raise RiskInfeasibleError(
@@ -444,11 +433,9 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     # O(1) at any demand scale; their multipliers map back as y / d_ref.
     energy = d.sum(axis=1)       # d a^s / d x_hat
     d_ref = max(float(energy.mean()), 1e-9)
-    pos = np.flatnonzero(floor > 0.0)
-    floor_rows = np.eye(n_hour)[pos]
     cuts, rows, rhs, drhs = [], [], [], []
     keys = set()
-    lam, dlam = floor.copy(), np.zeros(n_hour)
+    lam, dlam = np.zeros(n_hour), np.zeros(n_hour)
     y = np.zeros(0)
     fresh = seeds
     for _ in range(_MAX_CUT_ROUNDS):
@@ -460,10 +447,8 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
                 rhs.append(float(w @ a) / d_ref)
                 drhs.append(float(w @ energy) / d_ref)
         if len(fresh):
-            lam, y, dlam = _least_distance(
-                np.vstack(rows + [floor_rows]),
-                np.concatenate([rhs, floor[pos]]),
-                np.concatenate([drhs, np.zeros(pos.size)]))
+            lam, y, dlam = _least_distance(np.vstack(rows), np.array(rhs),
+                                           np.array(drhs))
         costs = a - m * (d @ lam)
         w, last = _tail_vertex(costs, phi, alpha)
         # A repeated vertex is satisfied up to rounding by the master's
@@ -477,8 +462,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
             f"{_MAX_CUT_ROUNDS} rounds")
 
     cut_matrix = np.array(cuts).reshape(-1, n_day)
-    y_cut = y[:len(cuts)]
-    varphi = (y_cut / d_ref) @ cut_matrix
+    varphi = (y / d_ref) @ cut_matrix
     eta = float(varphi.sum())
     mu = np.maximum(eta * phi - alpha * varphi, 0.0)
     beta = np.maximum(2.0 * lam - m * (varphi @ d), 0.0)
@@ -492,7 +476,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
                         varphi=varphi, mu=mu, beta=beta,
                         cvar_value=float(w @ costs), tilted_weights=tilted,
-                        alpha=alpha, active_cuts=cut_matrix[y_cut > 0.0],
+                        alpha=alpha, active_cuts=cut_matrix[y > 0.0],
                         price_slope=dlam)
 
 
@@ -518,19 +502,14 @@ def _rel(raw, scale):
 
 
 def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
-               config: RiskConfig, tariff, *, price_floor=None):
-    """Evaluate every optimality condition family at a returned solution.
-
-    With a price_floor the price bound is lambda >= floor, so the price
-    nonnegativity and complementarity families use lambda - floor.
-    """
+               config: RiskConfig, tariff):
+    """Evaluate every optimality condition family at a returned solution."""
     if solution.alpha != config.alpha:
         raise RiskError("solution and config disagree on alpha")
     m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
     d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
     lam, zeta, varphi = solution.charging_price, solution.zeta, solution.varphi
     v, eta, mu, beta = solution.v, solution.eta, solution.mu, solution.beta
-    above = lam if price_floor is None else lam - price_floor
 
     ctilde = a - m * (d @ lam)
     cvar_slack = v + phi @ zeta                  # <= 0
@@ -543,7 +522,7 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
                                   np.abs(ctilde) + abs(v) + alpha * zeta)
     fam["primal_nonneg"] = max(
         _rel(max(0.0, float(-zeta.min(initial=0.0))), 0.0),
-        _rel(max(0.0, float(-above.min(initial=0.0))), 0.0))
+        _rel(max(0.0, float(-lam.min(initial=0.0))), 0.0))
     fam["dual_nonneg"] = _rel(
         max(0.0, -eta, float(-varphi.min(initial=0.0)),
             float(-mu.min(initial=0.0)), float(-beta.min(initial=0.0))), 0.0)
@@ -551,7 +530,7 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
     fam["comp_scenario"] = _rel(np.abs(varphi * day_slack),
                                 varphi + np.abs(day_slack))
     fam["comp_zeta"] = _rel(np.abs(mu * zeta), mu + zeta)
-    fam["comp_lambda"] = _rel(np.abs(beta * above), beta + above)
+    fam["comp_lambda"] = _rel(np.abs(beta * lam), beta + lam)
     fam["stat_zeta"] = _rel(np.abs(eta * phi - alpha * varphi - mu),
                             eta * phi + alpha * varphi + mu)
     fam["stat_eta"] = _rel(abs(eta - varphi.sum()), eta + varphi.sum())
@@ -567,27 +546,25 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
 _FP_TOL = 1e-12
 
 
-def _certified(solution, days, x_hat, config, tariff, price_floor=None):
+def _certified(solution, days, x_hat, config, tariff):
     """kkt_report's worst residual; RiskError above the 1e-6 gate."""
-    worst = kkt_report(solution, days, x_hat, config, tariff,
-                       price_floor=price_floor).max_residual
+    worst = kkt_report(solution, days, x_hat, config, tariff).max_residual
     if worst > 1e-6:
         raise RiskError(f"optimality certificate failed: max scaled "
                         f"residual {worst:g}")
     return worst
 
 
-def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
-                        floor=None, *, x_start=None, max_iters=500):
+def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
+                        x_start=None, max_iters=500):
     """Certified premium x = C * rev(lambda(x / sum_t D_t)) (cents).
 
     rev is the likelihood-weighted charging revenue at the station's
-    prices, kept above floor when one is given. Safeguarded Newton steps
-    from x_start, by default the closed-form premium (see the module
-    docstring), run until |f(x) - x| <= 1e-12 (1 + |x|); the quote at
-    that x carries the residual of every iteration as its trace and the
-    KKT certificate of its price program. FixedPointError after max_iters
-    iterations.
+    prices. Safeguarded Newton steps from x_start, by default the
+    closed-form premium (see the module docstring), run until
+    |f(x) - x| <= 1e-12 (1 + |x|); the quote at that x carries the
+    residual of every iteration as its trace and the KKT certificate of
+    its price program. FixedPointError after max_iters iterations.
     """
     policy = config.resolved_policy()
     c_comp = composite_C(policy)
@@ -611,7 +588,7 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
     sol = prev = None
     for k in range(max_iters):
         sol = solve_risk_averse_evcs(
-            days, x / total, config, tariff, price_floor=floor,
+            days, x / total, config, tariff,
             seed_cuts=None if sol is None else sol.active_cuts)
         g = c_comp * float(days.likelihood @ (days.demand_kw
                                               @ sol.charging_price)) - x
@@ -641,18 +618,15 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff,
         premium=x, per_kwh=x / total, charging_price=sol.charging_price,
         bound_mode=config.bound_mode, alpha=config.alpha,
         trace=tuple(trace), iterations=len(trace), solution=sol,
-        kkt_max_residual=_certified(sol, days, x / total, config, tariff,
-                                    floor),
+        kkt_max_residual=_certified(sol, days, x / total, config, tariff),
         total_demand=total)
 
 
-def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff, *,
-                           x_start=None, max_iters=500):
+def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff):
     """Fixed point of x -> CL(lambda(x)) at the configured box ends.
 
     The claim limit CL uses the original day likelihoods (the insurer does
-    not observe the station's tilted weights); premium_fixed_point
-    without a price floor.
+    not observe the station's tilted weights); premium_fixed_point from
+    the closed-form start.
     """
-    return premium_fixed_point(days, config, tariff, x_start=x_start,
-                               max_iters=max_iters)
+    return premium_fixed_point(days, config, tariff)

@@ -34,6 +34,11 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _check_finite(path, rownum, name, value):
+    if not np.isfinite(value):
+        raise DataError(f"{path} row {rownum}: {name} {value} is not finite")
+
+
 def _read_csv_rows(path):
     """(header, rows) with rows as (file_row_number, list-of-cells)."""
     out = []
@@ -84,6 +89,8 @@ def load_typical_days(path) -> TypicalDaySet:
         if not 1 <= hour <= HOURS:
             raise DataError(
                 f"{path} row {rownum}: hour {hour} outside 1..{HOURS}")
+        _check_finite(path, rownum, "likelihood", phi)
+        _check_finite(path, rownum, "demand", d)
         if d < 0:
             raise DataError(
                 f"{path} row {rownum}: negative demand {d}")
@@ -284,46 +291,67 @@ def write_tariff(path, tariff, day_ids=None):
 
 
 def load_tariff(path):
-    """Returns (tariff, day_ids): (T,) with day_ids None, or (S, T)."""
+    """Returns (tariff, day_ids): (T,) with day_ids None, or (S, T).
+
+    Every hour 1..24 appears once per day with a finite value.
+    """
     header, rows = _read_csv_rows(path)
-    if header == ["hour", "tariff"]:
-        vec = np.full(HOURS, np.nan)
-        for rownum, cells in rows:
-            try:
-                hour = int(cells[0])
-                val = float(cells[1])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path} row {rownum}: {exc}") from None
-            if not 1 <= hour <= HOURS:
-                raise DataError(
-                    f"{path} row {rownum}: hour {hour} outside 1..{HOURS}")
-            vec[hour - 1] = val
-        if np.any(np.isnan(vec)):
-            raise DataError(f"{path}: incomplete hourly tariff")
-        return vec, None
-    if header == ["day", "hour", "tariff"]:
-        table = {}
-        for rownum, cells in rows:
-            try:
-                day = cells[0].strip()
-                hour = int(cells[1])
-                val = float(cells[2])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path} row {rownum}: {exc}") from None
-            if not 1 <= hour <= HOURS:
-                raise DataError(
-                    f"{path} row {rownum}: hour {hour} outside 1..{HOURS}")
-            table.setdefault(day, {})[hour] = val
-        ids = tuple(sorted(table))
-        out = np.full((len(ids), HOURS), np.nan)
-        for s, day in enumerate(ids):
-            for h, val in table[day].items():
-                out[s, h - 1] = val
-        if np.any(np.isnan(out)):
-            raise DataError(f"{path}: incomplete per-day tariff")
-        return out, ids
-    raise DataError(
-        f"{path}: tariff header must be hour,tariff or day,hour,tariff")
+    per_day = header == ["day", "hour", "tariff"]
+    if not per_day and header != ["hour", "tariff"]:
+        raise DataError(
+            f"{path}: tariff header must be hour,tariff or day,hour,tariff")
+    col = 1 if per_day else 0  # the hour column
+    table = {}
+    for rownum, cells in rows:
+        try:
+            day = cells[0].strip() if per_day else None
+            hour = int(cells[col])
+            val = float(cells[col + 1])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path} row {rownum}: {exc}") from None
+        if not 1 <= hour <= HOURS:
+            raise DataError(
+                f"{path} row {rownum}: hour {hour} outside 1..{HOURS}")
+        _check_finite(path, rownum, "tariff", val)
+        slot = table.setdefault(day, {})
+        if hour in slot:
+            where = f" for day {day!r}" if per_day else ""
+            raise DataError(
+                f"{path} row {rownum}: duplicate hour {hour}{where}")
+        slot[hour] = val
+    ids = tuple(sorted(table))
+    out = np.full((len(ids), HOURS), np.nan)
+    for s, day in enumerate(ids):
+        for h, val in table[day].items():
+            out[s, h - 1] = val
+    if not ids or np.any(np.isnan(out)):
+        kind = "per-day" if per_day else "hourly"
+        raise DataError(f"{path}: incomplete {kind} tariff")
+    return (out, ids) if per_day else (out[0], None)
+
+
+DLMP_COMMENT = ("# locational marginal prices; units: dlmp in $/MWh, "
+                "hour in 1..24")
+
+
+def write_dlmp(path, network: Network, results):
+    """DLMP CSV (day,hour,bus,dlmp) of the per_day_dlmps results."""
+    with open(path, "w", newline="") as fh:
+        fh.write(DLMP_COMMENT + "\n")
+        fh.write("day,hour,bus,dlmp\n")
+        for res in results:
+            for t in range(HOURS):
+                for b, bus in enumerate(network.buses):
+                    fh.write(f"{res.day},{t + 1},{bus},{res.dlmp[b, t]!r}\n")
+
+
+def write_charging_price(path, price, label="charging price"):
+    """Hourly charging-price CSV (hour,lambda_c); label opens the comment."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {label}; units: lambda_c in cents/kWh, hour in 1..24\n")
+        fh.write("hour,lambda_c\n")
+        for t in range(HOURS):
+            fh.write(f"{t + 1},{price[t]!r}\n")
 
 
 SWEEP_HEADER = ["scale", "alpha", "bound", "lambda_c_avg", "x_hat"]

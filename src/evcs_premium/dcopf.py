@@ -36,12 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import (
-    SENSE_EQ,
-    LinearProgram,
-    SolverOptions,
-    solve_lp,
-)
+from .backend import SENSE_EQ, LinearProgram, solve_lp
 from .units import dollars_per_mwh_to_cents_per_kwh, kw_to_mw
 
 HOURS = 24
@@ -260,8 +255,7 @@ class DlmpResult:
     balance_residual: float   # max |balance violation| MW over bus-hours
 
 
-def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
-                options: SolverOptions | None = None):
+def solve_dcopf(network: Network, day, evcs_demand_mw=None):
     """Solve one typical day's OPF and extract DLMPs.
 
     evcs_demand_mw: optional 24-vector added to the EVCS bus demand.
@@ -277,15 +271,14 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
             raise DcopfError("EVCS demand must be nonnegative")
         demand[network.bus_index()[network.evcs_bus]] += ev
 
-    opts = options or SolverOptions()
     block = network._hour_block
-    res = solve_lp(block.lp(demand, block.cost), opts, blocks=HOURS)
+    res = solve_lp(block.lp(demand, block.cost), blocks=HOURS)
     if res.status == "infeasible":
-        raise _first_binding_hour(block, day, demand, opts)
+        raise _first_binding_hour(block, day, demand)
     if res.x is None:
         raise DcopfError(f"day {day!r}: solver status {res.status}")
     hours = res.certificate  # solve_lp's gates, each hour at its own scale
-    failed = np.flatnonzero(~hours.lp_optimal(opts))
+    failed = np.flatnonzero(~hours.lp_optimal())
     if failed.size:
         t = failed[0]
         raise DcopfError(
@@ -323,12 +316,12 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None, *,
                       c_dll=c_dll, balance_residual=residual)
 
 
-def _first_binding_hour(block, day, demand, options):
+def _first_binding_hour(block, day, demand):
     """DcopfError naming the first hour of an infeasible day, found by
     solving its hours one at a time, in order."""
     for t in range(HOURS):
         lp = block.lp(demand[:, t:t + 1], block.cost[:, t:t + 1])
-        if solve_lp(lp, options).status == "infeasible":
+        if solve_lp(lp).status == "infeasible":
             return DcopfError(
                 f"day {day!r}: demand not servable, first binding hour "
                 f"{t + 1} (demand {demand[:, t].sum():.3f} MW)")
@@ -377,28 +370,26 @@ def dual_feasibility_check(result: DlmpResult, network: Network):
                            bus_dual_balance=r_bus)
 
 
-def predetermined_tariff(network: Network, days, *,
-                         options: SolverOptions | None = None):
+def predetermined_tariff(network: Network, days):
     """Likelihood-weighted (bus, hour) DLMP table in $/MWh.
 
     Solves each typical day's OPF with the day's baseline EVCS demand and
     collapses the per-day DLMPs with the day likelihoods. The result is fixed
     before any charging-price decision, so it does not react to them.
     """
-    results = per_day_dlmps(network, days, options=options)
+    results = per_day_dlmps(network, days)
     table = np.zeros((len(network.buses), HOURS))
     for s, day in enumerate(days.day_ids):
         table += days.likelihood[s] * results[s].dlmp
     return table
 
 
-def per_day_dlmps(network: Network, days, *,
-                  options: SolverOptions | None = None):
+def per_day_dlmps(network: Network, days):
     """Solve every typical day with its EVCS demand; list of DlmpResult."""
     out = []
     for s, day in enumerate(days.day_ids):
         ev_mw = kw_to_mw(days.demand_kw[s])
-        out.append(solve_dcopf(network, day, ev_mw, options=options))
+        out.append(solve_dcopf(network, day, ev_mw))
     return out
 
 

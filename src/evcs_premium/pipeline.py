@@ -20,7 +20,6 @@ import numpy as np
 from . import dataio
 from .analytic import closed_form_premium, sensitivity_sweep
 from .cvar import robust_premium_bilevel
-from .dcopf import HOURS
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     published_reference_notes, reference_smp_model, typical_days
@@ -172,17 +171,9 @@ def run_case(config: CaseConfig) -> ReportBundle:
                    if config.network_path else manhattan7())
         days = (dataio.load_typical_days(config.days_path)
                 if config.days_path else typical_days())
-        dlmp_results, tariff, _ = _grid_blocks(network, days, None)
-        with open(path_for("dlmp", "dlmp.csv"), "w", newline="") as fh:
-            fh.write("# locational marginal prices; units: dlmp in $/MWh, "
-                     "hour in 1..24\n")
-            fh.write("day,hour,bus,dlmp\n")
-            for s, day in enumerate(days.day_ids):
-                res = dlmp_results[s]
-                for t in range(HOURS):
-                    for b, bus in enumerate(network.buses):
-                        fh.write(f"{day},{t + 1},{bus},"
-                                 f"{res.dlmp[b, t]!r}\n")
+        dlmp_results, tariff, _ = _grid_blocks(network, days)
+        dataio.write_dlmp(path_for("dlmp", "dlmp.csv"), network,
+                          dlmp_results)
         dataio.write_tariff(path_for("tariff", "tariff.csv"), tariff,
                             day_ids=days.day_ids)
         completed.append(stage)
@@ -208,13 +199,9 @@ def run_case(config: CaseConfig) -> ReportBundle:
             "charging_price_cents_per_kwh":
                 list(analytic.charging_price),
         })
-        with open(path_for("lambda_c", "lambda_c.csv"), "w",
-                  newline="") as fh:
-            fh.write("# closed-form charging price; units: lambda_c in "
-                     "cents/kWh, hour in 1..24\n")
-            fh.write("hour,lambda_c\n")
-            for t in range(HOURS):
-                fh.write(f"{t + 1},{analytic.charging_price[t]!r}\n")
+        dataio.write_charging_price(path_for("lambda_c", "lambda_c.csv"),
+                                    analytic.charging_price,
+                                    "closed-form charging price")
         completed.append(stage)
 
         stage = "robust"

@@ -6,30 +6,20 @@ optimality conditions pin the distribution tariff before any premium or
 charging-price decision is made. Both solvers here exploit that.
 
 solve_trilevel_direct freezes the per-day tariffs at the station bus and
-runs the robust bi-level fixed point against them. ccg_solve runs a
-column-and-constraint generation loop on the premium/price master problem:
-the principal keeps the station's tail-cost feasibility rows plus the
-accumulated price cuts (lambda_t >= previous response), the subproblem
-recomputes the station's actual minimum-norm response at the principal's
-premium, and the value gap between the two certifies optimality. Because
-the norm cut on |lambda|^2 is implied componentwise by the price cuts, the
-principal imposes the price cuts and the norm cuts are verified after the
-fact.
-
-The principal problem (min premium + |lambda|^2 subject to claim-loss
-coverage, tail feasibility, and cuts) is solved through its optimality
-structure rather than as one monolithic program: the coverage row binds at
-any optimum (the objective is strictly increasing in the premium once
-lambda is chosen minimally), which makes the optimal premium the unique
-fixed point of premium -> claim_loss(min-norm cut-respecting price at that
-premium). That is the premium fixed point of the bi-level quote with the
-cut floor added, so both modes run cvar.premium_fixed_point; it converges
-whenever the composite claim factor stays below the demand multiplier.
-Its first principal and the subproblem solve the same program, so the
-loop closes in round 1 (see ccg_solve). The grid blocks eliminated from
-the principal are verified verbatim on the composed solution: per-day
-primal feasibility, dual feasibility, and strong duality must all hold
-within 1e-8.
+runs the robust bi-level fixed point against them. ccg_solve runs the
+paper's column-and-constraint generation on the premium/price master for
+the one round it takes: the principal (min premium + |lambda|^2 subject to
+claim-loss coverage and tail feasibility) is the premium fixed point of
+cvar.premium_fixed_point, because the coverage row binds at any optimum
+(the objective is strictly increasing in the premium once lambda is chosen
+minimally); the subproblem recomputes the station's minimum-norm response
+at the principal's premium. With the tariff fixed both solve the same
+price program at the same premium, so their values premium + |price|^2
+agree and the round certifies the optimum; a bound gap above CCG_TOL is
+raised rather than iterated on. The grid blocks eliminated from the
+principal are verified verbatim on the composed solution: per-day primal
+feasibility, dual feasibility, and strong duality must all hold within
+1e-8.
 """
 
 from __future__ import annotations
@@ -39,64 +29,38 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import TypicalDaySet
-from .backend import SolverOptions
 from .cvar import PremiumQuote, RiskConfig, RiskError, _certified, \
     premium_fixed_point, robust_premium_bilevel, solve_risk_averse_evcs
-from .dcopf import DcopfError, HOURS, Network, \
-    dual_feasibility_check, evcs_tariff_cents, per_day_dlmps
+from .dcopf import DcopfError, Network, dual_feasibility_check, \
+    evcs_tariff_cents, per_day_dlmps
 
 DUALITY_GATE = 1e-8
-CUT_SLACK = 1e-9
+CCG_TOL = 1e-6
 
 
 class TrilevelError(ValueError):
     pass
 
 
-class CcgNonConvergenceError(TrilevelError):
-    """Iteration limit hit; carries the bound trace for diagnosis."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = tuple(trace)
-
-
-@dataclass(frozen=True)
-class CcgCut:
-    """One accumulated price cut: the station response of iteration k."""
-
-    iteration: int
-    charging_price: tuple
-    norm_sq: float
-
-
 @dataclass(frozen=True)
 class CcgState:
-    """Bounds and cut set after one principal/subproblem round.
+    """Bounds after one principal/subproblem round.
 
     lower_bound is the subproblem value premium + |response|^2 and
     upper_bound the principal value premium + |principal price|^2; the
-    principal price respects the cut floor while the response is free, so
-    lower <= upper and both sequences rise toward the optimum as cuts
-    accumulate. The cut list grows by exactly one per iteration (the
-    response just produced); the first principal therefore runs cutless.
+    response is the station's best reply at the principal's premium, so
+    lower <= upper.
     """
 
     iteration: int
     lower_bound: float
     upper_bound: float
     premium: float
-    cuts: tuple
-    tolerance: float
 
     def __post_init__(self):
         if self.iteration < 1:
             raise TrilevelError("iterations count from 1")
-        if len(self.cuts) != self.iteration:
-            raise TrilevelError(
-                f"iteration {self.iteration} must carry exactly "
-                f"{self.iteration} cuts, got {len(self.cuts)}")
-        if self.lower_bound > self.upper_bound + self.tolerance * (
+        if self.lower_bound > self.upper_bound + CCG_TOL * (
                 1.0 + abs(self.upper_bound)) + 1e-9:
             raise TrilevelError(
                 f"lower bound {self.lower_bound:g} above upper bound "
@@ -179,9 +143,9 @@ def single_level_residuals(network: Network, days: TypicalDaySet,
     return fam
 
 
-def _grid_blocks(network, days, options):
+def _grid_blocks(network, days):
     """Per-day OPF results, station tariff table, and duality gaps."""
-    results = per_day_dlmps(network, days, options=options)
+    results = per_day_dlmps(network, days)
     fam = single_level_residuals(network, days, results)
     worst = max(fam.values())
     if worst > DUALITY_GATE:
@@ -196,89 +160,51 @@ def _grid_blocks(network, days, options):
 
 
 def solve_trilevel_direct(network: Network, days: TypicalDaySet,
-                          config: RiskConfig, *,
-                          options: SolverOptions | None = None):
+                          config: RiskConfig):
     """Sequential oracle: freeze the tariff, then run the bi-level quote."""
-    results, tariff, gaps = _grid_blocks(network, days, options)
+    results, tariff, gaps = _grid_blocks(network, days)
     quote = robust_premium_bilevel(days, config, tariff)
     return TrilevelQuote(quote=quote, dlmp=tuple(results),
                          tariff_cents=tariff, duality_gaps=gaps,
                          mode="direct")
 
 
-def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig, *,
-              tol=1e-6, max_iters=25,
-              options: SolverOptions | None = None):
-    """Column-and-constraint generation on the premium/price master.
+def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig):
+    """One certified column-and-constraint generation round.
 
-    Each round solves the principal under the accumulated price cuts
-    (premium_fixed_point with the cut floor), then the subproblem (the
-    station's actual minimum-norm response at the principal's premium);
-    the two values premium + |price|^2 bracket the optimum from below
-    (subproblem) and above within the cut set (principal) and meet at the
-    tri-level optimum. Stops when the gap falls under tol*(1+|upper|);
-    raises after max_iters rounds.
-
-    On this model the loop closes in round 1 whatever the data: the grid
-    level only passes the tariff up, so the first principal (no cuts, a
-    zero floor) and the subproblem solve the same price program at the
-    same premium, and their values agree to rounding. CCG needs more
-    rounds only when the recourse is coupled to the first-stage decision
-    (Zeng & Zhao, Oper. Res. Lett. 2013); the loop is kept as the
-    method of the paper and as a check of that argument.
+    The principal is premium_fixed_point at the frozen tariff; the
+    subproblem is the station's minimum-norm response at the principal's
+    premium, seeded with the principal's active cuts. Their values
+    premium + |price|^2 bound the optimum from below (subproblem) and
+    above (principal). On this model they meet in round 1 whatever the
+    data: the grid level only passes the tariff up, so both solve the same
+    price program at the same premium. CCG needs more rounds only when the
+    recourse is coupled to the first-stage decision (Zeng & Zhao, Oper.
+    Res. Lett. 2013); here a relative gap above CCG_TOL means that
+    argument broke, and raises TrilevelError instead of iterating.
     """
-    results, tariff, gaps = _grid_blocks(network, days, options)
-    floor = np.zeros(HOURS)
-    cuts = []
-    trace = []
-    x_start = None
-    for k in range(1, max_iters + 1):
-        principal = premium_fixed_point(days, config, tariff, floor,
-                                        x_start=x_start)
-        price_p = principal.charging_price
-        viol = float(np.max(floor - price_p, initial=0.0))
-        if viol > CUT_SLACK:
-            raise TrilevelError(
-                f"iteration {k}: principal price violates an accumulated "
-                f"cut by {viol:g}")
-        norm_p = float(price_p @ price_p)
-        for cut in cuts:
-            if norm_p < cut.norm_sq - CUT_SLACK:
-                raise TrilevelError(
-                    f"iteration {k}: norm cut of iteration "
-                    f"{cut.iteration} violated "
-                    f"({norm_p:g} < {cut.norm_sq:g})")
-        x_start = principal.premium
-        upper = x_start + norm_p
-
-        sub = solve_risk_averse_evcs(
-            days, principal.per_kwh, config, tariff,
-            seed_cuts=principal.solution.active_cuts)
-        norm_s = float(sub.charging_price @ sub.charging_price)
-        lower = x_start + norm_s
-
-        cuts.append(CcgCut(iteration=k,
-                           charging_price=tuple(sub.charging_price),
-                           norm_sq=norm_s))
-        floor = np.maximum(floor, sub.charging_price)
-        state = CcgState(iteration=k, lower_bound=lower, upper_bound=upper,
-                         premium=x_start, cuts=tuple(cuts), tolerance=tol)
-        trace.append(state)
-        if state.gap <= tol * (1.0 + abs(upper)):
-            break
-    else:
-        raise CcgNonConvergenceError(
-            f"no convergence in {max_iters} iterations "
-            f"(last gap {trace[-1].gap:g})", trace)
+    results, tariff, gaps = _grid_blocks(network, days)
+    principal = premium_fixed_point(days, config, tariff)
+    premium, price_p = principal.premium, principal.charging_price
+    upper = premium + float(price_p @ price_p)
+    sub = solve_risk_averse_evcs(
+        days, principal.per_kwh, config, tariff,
+        seed_cuts=principal.solution.active_cuts)
+    lower = premium + float(sub.charging_price @ sub.charging_price)
+    state = CcgState(iteration=1, lower_bound=lower, upper_bound=upper,
+                     premium=premium)
+    if state.relative_gap > CCG_TOL:
+        raise TrilevelError(
+            f"CCG round 1 left a relative bound gap of "
+            f"{state.relative_gap:g} (tolerance {CCG_TOL:g})")
 
     quote = replace(principal, charging_price=sub.charging_price,
-                    trace=tuple(s.premium for s in trace),
-                    iterations=len(trace), solution=sub,
+                    trace=(premium,), iterations=1, solution=sub,
                     kkt_max_residual=_certified(sub, days, principal.per_kwh,
                                                 config, tariff))
     return TrilevelQuote(quote=quote, dlmp=tuple(results),
                          tariff_cents=tariff, duality_gaps=gaps,
-                         mode="ccg", ccg_trace=tuple(trace))
+                         mode="ccg", ccg_trace=(state,))
 
 
 @dataclass(frozen=True)
@@ -299,7 +225,6 @@ def demand_scaling_sweep(network: Network, days: TypicalDaySet,
                          scales=(1, 100, 400, 800, 1000),
                          alphas=(1.0, 0.5, 0.0),
                          bounds=("lower", "expected", "upper"),
-                         options: SolverOptions | None = None,
                          quotes=None):
     """Premium grid over demand scale, tail level, and factor bounds.
 
@@ -322,7 +247,7 @@ def demand_scaling_sweep(network: Network, days: TypicalDaySet,
         if solved is None:
             scaled = days.scaled(scale)
             try:
-                _, tariff, _ = _grid_blocks(network, scaled, options)
+                _, tariff, _ = _grid_blocks(network, scaled)
             except (DcopfError, TrilevelError) as exc:
                 out += [flagged(scale, alpha, bound, exc)
                         for alpha in alphas for bound in bounds]

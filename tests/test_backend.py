@@ -26,7 +26,6 @@ from evcs_premium.backend import (
     BackendError,
     ConvexQP,
     LinearProgram,
-    SolverOptions,
     solve_lp,
     solve_qp,
 )
@@ -223,7 +222,7 @@ class TestSolveLp:
         assert_allclose(cert.objective, [r.objective for r in alone],
                         rtol=1e-9)
         assert_allclose(cert.objective.sum(), res.objective, rtol=1e-12)
-        assert cert.lp_optimal(SolverOptions()).all()
+        assert cert.lp_optimal().all()
         whole = backend.certify(stacked, res.x, res.duals,
                                 res.reduced_lower, res.reduced_upper)
         assert whole.primal_infeasibility[0] == res.primal_infeasibility
@@ -233,7 +232,7 @@ class TestSolveLp:
         duals[5] += 1e-3
         bad = backend.certify(stacked, res.x, duals, res.reduced_lower,
                               res.reduced_upper, blocks=2)
-        assert bad.lp_optimal(SolverOptions()).tolist() == [True, False]
+        assert bad.lp_optimal().tolist() == [True, False]
 
     def test_blocks_certified_once(self, monkeypatch):
         # the stacked LP of two equal blocks, certified by solve_lp itself
@@ -266,7 +265,7 @@ class TestSolveLp:
         monkeypatch.setattr(backend, "_highs_solve", perturbed)
         bad = solve_lp(stacked, blocks=2)
         assert bad.status == "numerical"
-        assert bad.certificate.lp_optimal(SolverOptions()).tolist() == [
+        assert bad.certificate.lp_optimal().tolist() == [
             True, False]
         assert solve_lp(stacked).certificate.objective.shape == (1,)
 
@@ -448,22 +447,3 @@ class TestSolveQp:
     def test_negative_curvature_rejected(self):
         with pytest.raises(BackendError):
             ConvexQP.from_dense([-1.0], [0.0], [[1.0]], [SENSE_LE], [1.0])
-
-
-class TestSolverOptions:
-    def test_tolerances_tighten_only(self):
-        SolverOptions(feas_tol=1e-10, gap_tol=1e-9)  # tightening is fine
-        with pytest.raises(BackendError):
-            SolverOptions(feas_tol=1e-6)
-        with pytest.raises(BackendError):
-            SolverOptions(gap_tol=1e-6)
-        with pytest.raises(BackendError):
-            SolverOptions(max_iter=0)
-
-    def test_options_accepted_by_both_solvers(self):
-        opts = SolverOptions(feas_tol=1e-10)
-        lp = LinearProgram.from_dense([1.0], [[1.0]], [SENSE_GE], [3.0],
-                                      lower=[0.0])
-        assert solve_lp(lp, opts).status == "optimal"
-        qp = ConvexQP.from_dense([2.0], [0.0], [[1.0]], [SENSE_GE], [1.0])
-        assert solve_qp(qp, opts).status == "optimal"

@@ -286,26 +286,17 @@ def test_fixture_quotes_take_at_most_two_programs(grid_tariff,
         assert len(calls) <= (1 if config.alpha == 1.0 else 2)
 
 
-def test_floored_fixed_point_takes_at_most_two_programs(grid_tariff,
-                                                        monkeypatch):
-    """Floor rows on the evening peak bind next to a tail cut; the
-    Newton slope holds the floored hours still."""
+def test_price_slope_matches_forward_difference(grid_tariff):
+    """lambda is affine in x_hat on the active set, so the slope read off
+    the final master's QR is exact."""
     days = typical_days()
     config = default_risk_config(alpha=0.5)
-    lam = robust_premium_bilevel(days, config, grid_tariff).charging_price
-    floor = np.zeros(lam.size)
-    floor[17:20] = 1.2 * lam[17:20]
-    calls = _count_programs(monkeypatch)
-    quote = premium_fixed_point(days, config, grid_tariff, floor)
-    assert len(calls) <= 2
+    quote = robust_premium_bilevel(days, config, grid_tariff)
     sol = quote.solution
-    assert len(sol.active_cuts) > 0
-    assert np.all(quote.charging_price >= floor - 1e-9)
-    assert quote.kkt_max_residual <= 1e-6
-    # lambda is affine in x_hat on the active set: the slope is exact
+    assert len(sol.active_cuts) > 0 and np.abs(sol.price_slope).max() > 0
     step = 1e-4 * quote.per_kwh
     up = solve_risk_averse_evcs(days, quote.per_kwh + step, config,
-                                grid_tariff, price_floor=floor)
+                                grid_tariff)
     assert_allclose((up.charging_price - sol.charging_price) / step,
                     sol.price_slope, rtol=0.0, atol=1e-6)
 
@@ -357,7 +348,7 @@ def test_fixed_point_independent_of_start(grid_tariff):
     days = typical_days()
     config = default_risk_config(alpha=0.5, bound_mode="upper")
     a = robust_premium_bilevel(days, config, grid_tariff)
-    b = robust_premium_bilevel(days, config, grid_tariff, x_start=1000.0)
+    b = premium_fixed_point(days, config, grid_tariff, x_start=1000.0)
     assert abs(a.premium - b.premium) <= 1e-8 * (1.0 + a.premium)
 
 
@@ -503,24 +494,6 @@ def test_bound_mode_ordering(grid_tariff):
     assert premiums[2] > premiums[0] + 1.0  # the box is not degenerate
 
 
-def test_price_floor_constrains_solution(grid_tariff):
-    days = typical_days()
-    config = default_risk_config(alpha=1.0)
-    quote = robust_premium_bilevel(days, config, grid_tariff)
-    lam = quote.solution.charging_price
-    floor = lam.copy()
-    floor[:6] += 0.5
-    raised = solve_risk_averse_evcs(days, quote.per_kwh, config,
-                                    grid_tariff, price_floor=floor)
-    assert np.all(raised.charging_price >= floor - 1e-9)
-    assert (raised.charging_price @ raised.charging_price
-            >= lam @ lam - 1e-9)
-    slack = solve_risk_averse_evcs(days, quote.per_kwh, config,
-                                   grid_tariff,
-                                   price_floor=np.zeros(lam.size))
-    assert np.abs(slack.charging_price - lam).max() <= 1e-7
-
-
 def test_infeasible_station_raises():
     # attack certain and nothing insured: revenue cannot move the cost
     policy = PolicyFactors(p_attack=1.0, loading=0.0, risk_share=0.0,
@@ -531,12 +504,11 @@ def test_infeasible_station_raises():
         with pytest.raises(RiskInfeasibleError):
             solve_risk_averse_evcs(days, 0.1,
                                    _point_config(policy, alpha), tariff)
-    # with no penalty and no premium nothing is at stake: the floor itself
+    # with no penalty and no premium nothing is at stake: zero prices
     free = dataclasses.replace(policy, penalty=0.0)
-    floor = np.array([0.0, 1.0, 0.0, 2.0])
     sol = solve_risk_averse_evcs(days, 0.0, _point_config(free, 0.5),
-                                 tariff, price_floor=floor)
-    assert_allclose(sol.charging_price, floor, rtol=0.0, atol=0.0)
+                                 tariff)
+    assert_allclose(sol.charging_price, 0.0, rtol=0.0, atol=0.0)
     assert sol.eta == 0.0
     heavy = PolicyFactors(p_attack=0.9, loading=0.5, risk_share=1.0,
                           history_coeff=0.0, attack_count=0, penalty=3.0)
@@ -571,16 +543,13 @@ def test_configuration_validation():
     days = typical_days()
     with pytest.raises(RiskError, match="x_hat"):
         solve_risk_averse_evcs(days, -0.1, config, np.ones(24))
-    with pytest.raises(RiskError, match="price_floor"):
-        solve_risk_averse_evcs(days, 0.1, config, np.ones(24),
-                               price_floor=np.ones(5))
     with pytest.raises(RiskError, match="per-kWh premium"):
         PremiumQuote(premium=100.0, per_kwh=3.0, charging_price=np.ones(24),
                      bound_mode="expected", alpha=1.0, trace=(), iterations=1,
                      solution=None, kkt_max_residual=0.0, total_demand=10.0)
 
 
-def _reference_prices(days, x_hat, config, tariff, floor):
+def _reference_prices(days, x_hat, config, tariff):
     """The price program as the generic QP, solved by the backend's
     interior-point solver; returns its status, the prices and a.
 
@@ -588,7 +557,7 @@ def _reference_prices(days, x_hat, config, tariff, floor):
 
         min ||lambda||^2  s.t.  v' + phi.zeta' <= 0,
         alpha zeta'^s + v' + m d^s.lambda / d_ref >= a^s / d_ref,
-        zeta' >= 0, lambda >= floor.
+        zeta' >= 0, lambda >= 0.
 
     At alpha = 1 the pair (v', zeta') has a cost-free recession ray that
     stalls the interior point, so the tail collapses to the expectation
@@ -605,16 +574,17 @@ def _reference_prices(days, x_hat, config, tariff, floor):
         policy.risk_share, policy.penalty_cents_per_kw())
         for s in range(n_day)])
     d_ref = max(float(d.sum(axis=1).mean()), 1e-9)
+    lam_lo = np.zeros(n_hour)
     q_lam = np.full(n_hour, 2.0)
     if alpha == 1.0:
         qp = ConvexQP.from_dense(q_lam, np.zeros(n_hour),
                                  (m * (phi @ d) / d_ref)[None, :], [SENSE_GE],
-                                 np.array([phi @ a / d_ref]), floor, None)
+                                 np.array([phi @ a / d_ref]), lam_lo, None)
     elif alpha == 0.0:
         rows = np.hstack([m * d / d_ref, np.ones((n_day, 1))])
         qp = ConvexQP.from_dense(
             np.append(q_lam, 0.0), np.zeros(n_hour + 1), rows,
-            [SENSE_GE] * n_day, a / d_ref, np.append(floor, -np.inf),
+            [SENSE_GE] * n_day, a / d_ref, np.append(lam_lo, -np.inf),
             np.append(np.full(n_hour, np.inf), 0.0))
     else:
         n = n_hour + 1 + n_day
@@ -628,7 +598,7 @@ def _reference_prices(days, x_hat, config, tariff, floor):
             np.concatenate([q_lam, np.zeros(1 + n_day)]), np.zeros(n), rows,
             [SENSE_LE] + [SENSE_GE] * n_day,
             np.concatenate([[0.0], a / d_ref]),
-            np.concatenate([floor, [-np.inf], np.zeros(n_day)]), None)
+            np.concatenate([lam_lo, [-np.inf], np.zeros(n_day)]), None)
     res = solve_qp(qp)
     return res.status, (None if res.x is None else res.x[:n_hour]), a
 
@@ -636,9 +606,9 @@ def _reference_prices(days, x_hat, config, tariff, floor):
 @st.composite
 def _price_programs(draw):
     """Random price programs: S in 1..12, alpha at and near both ends,
-    demand from 1e-3 to 1e6 kW, zero or positive floors, and m = 0 in
-    one draw of ten. Sizes come from a seeded generator so they spread
-    evenly rather than gather at the strategies' boundary values."""
+    demand from 1e-3 to 1e6 kW, and m = 0 in one draw of ten. Sizes come
+    from a seeded generator so they spread evenly rather than gather at
+    the strategies' boundary values."""
     alpha = draw(st.sampled_from([0.0, 1e-9, "uniform", 1.0 - 1e-9, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_day = int(rng.integers(1, 13))
@@ -657,62 +627,52 @@ def _price_programs(draw):
         loading=0.1, risk_share=0.0 if m_zero else float(rng.uniform()),
         history_coeff=0.0, attack_count=0,
         penalty=float(rng.uniform(0.0, 5.0)))
-    floor = np.zeros(n_hour)
     if rng.uniform() < 0.5:
-        floor = rng.uniform(0.0, 4.0, size=n_hour) \
-            * (rng.uniform(size=n_hour) < 0.5)
+        # the draws of the retired price floors, so x_hat stays as it was
+        rng.uniform(size=2 * n_hour)
     return (TypicalDaySet(phi / phi.sum(), demand), float(rng.uniform(0, 3)),
-            _point_config(policy, alpha), tariff, floor)
+            _point_config(policy, alpha), tariff)
 
 
 @given(_price_programs())
 def test_cutting_planes_match_interior_point_reference(program):
-    days, x_hat, config, tariff, floor = program
-    status, ref, a = _reference_prices(days, x_hat, config, tariff, floor)
+    days, x_hat, config, tariff = program
+    status, ref, a = _reference_prices(days, x_hat, config, tariff)
     policy = config.resolved_policy()
     if (premium_multiplier_M(policy) == 0.0
             and cvar_sup(a, days.likelihood, config.alpha) > 0.0):
         assert status == "infeasible"
         with pytest.raises(RiskInfeasibleError):
-            solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                   price_floor=floor)
+            solve_risk_averse_evcs(days, x_hat, config, tariff)
         return
     assert status == "optimal"
-    sol = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                 price_floor=floor)
+    sol = solve_risk_averse_evcs(days, x_hat, config, tariff)
     lam = sol.charging_price
     # relative to the price level, compared absolutely below 1 cent/kWh
     assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
-    families = dict(kkt_report(sol, days, x_hat, config, tariff).families)
-    if floor.any():
-        # beta belongs to lambda >= floor: complementarity against floor
-        del families["comp_lambda"]
-        gap = sol.beta * (lam - floor)
-        assert np.all(np.abs(gap) <= 1e-6 * (1.0 + sol.beta + lam))
-    assert max(families.values()) <= 1e-6
+    assert kkt_report(sol, days, x_hat, config,
+                      tariff).max_residual <= 1e-6
 
 
 @given(_price_programs(), st.floats(0.0, 3.0))
 def test_seeded_cuts_match_cold_solve(program, x_seed):
     """Seeded solves reproduce the cold one; kkt_report on the cold one
     equals its loop reference bit for bit."""
-    days, x_hat, config, tariff, floor = program
+    days, x_hat, config, tariff = program
     try:
-        cold = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                      price_floor=floor)
+        cold = solve_risk_averse_evcs(days, x_hat, config, tariff)
     except RiskInfeasibleError:
         return
     _assert_kkt_matches_loops(cold, days, x_hat, config, tariff)
-    earlier = solve_risk_averse_evcs(days, x_seed, config, tariff,
-                                     price_floor=floor)
+    earlier = solve_risk_averse_evcs(days, x_seed, config, tariff)
     size = max(np.abs(cold.charging_price).max(), 1.0)
     for seeds in (earlier.active_cuts, cold.active_cuts):
         seeded = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                        price_floor=floor, seed_cuts=seeds)
+                                        seed_cuts=seeds)
         assert np.abs(seeded.charging_price
                       - cold.charging_price).max() <= 1e-12 * size
-        assert kkt_report(seeded, days, x_hat, config, tariff,
-                          price_floor=floor).max_residual <= 1e-6
+        assert kkt_report(seeded, days, x_hat, config,
+                          tariff).max_residual <= 1e-6
 
 
 def test_seed_cuts_outside_the_envelope_rejected():

@@ -241,9 +241,9 @@ def lp_calls(monkeypatch):
     """The LPs dcopf hands to solve_lp, in call order."""
     calls = []
 
-    def counting(lp, options=None, blocks=1):
+    def counting(lp, blocks=1):
         calls.append(lp)
-        return solve_lp(lp, options, blocks=blocks)
+        return solve_lp(lp, blocks=blocks)
 
     monkeypatch.setattr(dcopf, "solve_lp", counting)
     return calls

@@ -2,8 +2,10 @@
 
 import csv
 import filecmp
+import importlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,19 @@ def test_days_reader_renormalizes_tiny_drift(tmp_path):
     assert days.likelihood.sum() == 1.0
 
 
+@pytest.mark.parametrize("column, value", [(1, "nan"), (1, "inf"),
+                                           (3, "nan"), (3, "inf")])
+def test_days_reader_rejects_non_finite(tmp_path, column, value):
+    path = tmp_path / "bad.csv"
+    rows = _day_rows("a", 0.5) + _day_rows("b", 0.5)
+    rows[24][column] = value  # the first row of day b, file row 26
+    _write_rows(path, rows)
+    name = "likelihood" if column == 1 else "demand"
+    with pytest.raises(dataio.DataError,
+                       match=f"row 26: {name} {value} is not finite"):
+        dataio.load_typical_days(path)
+
+
 def test_network_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     net = manhattan7()
@@ -159,6 +174,29 @@ def test_tariff_roundtrip_both_forms(tmp_path):
     (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(dataio.DataError, match="incomplete per-day"):
         dataio.load_tariff(tmp_path / "short.csv")
+
+
+@pytest.mark.parametrize("per_day", [False, True],
+                         ids=["hourly", "per-day"])
+@pytest.mark.parametrize("bad, match", [
+    ("duplicate", "row 26: duplicate hour 7"),
+    ("nan", "row 10: tariff nan is not finite"),
+    ("inf", "row 10: tariff inf is not finite")],
+    ids=["duplicate", "nan", "inf"])
+def test_tariff_reader_rejects_bad_rows(tmp_path, per_day, bad, match):
+    rows = [[h, 2.0] for h in range(1, 25)]
+    if bad == "duplicate":
+        rows.append([7, 3.0])
+    else:
+        rows[8][1] = bad  # hour 9, file row 10
+    header = ["hour", "tariff"]
+    if per_day:
+        rows = [["a"] + r for r in rows]
+        header = ["day"] + header
+    path = tmp_path / "tariff.csv"
+    _write_rows(path, rows, header=header)
+    with pytest.raises(dataio.DataError, match=match):
+        dataio.load_tariff(path)
 
 
 def test_sweep_file_format(tmp_path):
@@ -303,7 +341,7 @@ def test_cli_premium_trilevel_ccg(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "trilevel_quote.json").read_text())
     assert doc["mode"] == "ccg"
-    assert doc["ccg_iterations"] >= 1
+    assert doc["ccg_iterations"] == 1
     assert doc["max_duality_gap"] <= 1e-8
     bounds = doc["ccg_bounds"]
     slack = 1e-6 * (1.0 + abs(bounds[-1]["upper"]))
@@ -342,3 +380,22 @@ def test_cli_rejects_mismatched_tariff_days(tmp_path, capsys):
                    "--tariff", str(path)])
     assert rc == 1
     assert "do not match" in capsys.readouterr().err
+
+
+def test_traced_layers_resolve(monkeypatch):
+    """Every (module, function) the benchmark tracer wraps exists."""
+    import evcs_premium
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    try:
+        tracer = importlib.import_module("tracer")
+        layers = tracer.layer_functions(evcs_premium)
+    finally:
+        for name in ("tracer", "workloads"):
+            sys.modules.pop(name, None)
+    for name, module, attr, _, _ in layers:
+        assert name == f"{module.__name__.split('.')[-1]}.{attr}"
+        assert callable(getattr(module, attr)), name
+    assert {"backend.solve_qp", "trilevel.ccg_solve",
+            "dataio.write_dlmp"} <= {layer[0] for layer in layers}

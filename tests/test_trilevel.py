@@ -1,10 +1,13 @@
-"""Tri-level premium: direct oracle, cut generation, scaling sweep."""
+"""Tri-level premium: direct oracle, the CCG round, scaling sweep."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evcs_premium.cvar import premium_fixed_point, robust_premium_bilevel
+from evcs_premium import trilevel
+from evcs_premium.cvar import robust_premium_bilevel
 from evcs_premium.dcopf import Generator, Network, per_day_dlmps
 from evcs_premium.fixtures import (
     default_risk_config,
@@ -12,8 +15,7 @@ from evcs_premium.fixtures import (
     typical_days,
 )
 from evcs_premium.trilevel import (
-    CcgCut,
-    CcgNonConvergenceError,
+    CCG_TOL,
     CcgState,
     SweepRow,
     TrilevelError,
@@ -43,9 +45,9 @@ def test_ccg_matches_direct_solve():
         rel = abs(via_ccg.premium - direct.premium) / (1.0 + direct.premium)
         assert rel <= 1e-6
         assert via_ccg.mode == "ccg" and direct.mode == "direct"
-        assert 1 <= len(via_ccg.ccg_trace) <= 25
+        assert len(via_ccg.ccg_trace) == 1
         final = via_ccg.ccg_trace[-1]
-        assert final.relative_gap <= 1e-6
+        assert final.relative_gap <= CCG_TOL
         assert abs(final.premium - via_ccg.premium) <= 1e-9 * (
             1.0 + via_ccg.premium)
 
@@ -53,36 +55,33 @@ def test_ccg_matches_direct_solve():
 def test_ccg_bound_sequences_are_certified():
     quote = ccg_solve(manhattan7(), typical_days(),
                       default_risk_config(alpha=0.5))
-    lows = [s.lower_bound for s in quote.ccg_trace]
-    highs = [s.upper_bound for s in quote.ccg_trace]
-    for i, state in enumerate(quote.ccg_trace):
-        assert state.iteration == i + 1
-        assert len(state.cuts) == state.iteration
-        slack = state.tolerance * (1.0 + abs(state.upper_bound)) + 1e-9
-        assert state.lower_bound <= state.upper_bound + slack
-    assert all(b - a >= -1e-7 for a, b in zip(lows, lows[1:]))
-    assert all(b - a >= -1e-7 for a, b in zip(highs, highs[1:]))
+    (state,) = quote.ccg_trace
+    assert state.iteration == 1
+    assert state.premium == quote.premium
+    slack = CCG_TOL * (1.0 + abs(state.upper_bound)) + 1e-9
+    assert state.lower_bound <= state.upper_bound + slack
+    assert state.relative_gap <= CCG_TOL
+    assert quote.quote.iterations == 1
+    assert quote.quote.kkt_max_residual <= 1e-6
 
 
-def test_principal_respects_cut_floors():
-    net = manhattan7()
-    days = typical_days()
-    config = default_risk_config(alpha=0.5)
-    quote = solve_trilevel_direct(net, days, config)
-    tariff = quote.tariff_cents
+def test_ccg_open_gap_raises(monkeypatch):
+    """A subproblem response below the principal's price leaves a bound
+    gap; the round names it instead of iterating."""
+    solve = trilevel.solve_risk_averse_evcs
 
-    free = premium_fixed_point(days, config, tariff, np.zeros(24))
-    floor = free.charging_price.copy()
-    floor[6:12] += 0.4
-    floored = premium_fixed_point(days, config, tariff, floor)
-    price0, price1 = free.charging_price, floored.charging_price
-    assert np.all(price1 >= floor - 1e-9)
-    # a floored response can only cost the station more
-    assert floored.per_kwh >= free.per_kwh - 1e-9
-    assert float(price1 @ price1) >= float(price0 @ price0) - 1e-9
-    # the floored quote is certified against lambda >= floor
-    assert floored.kkt_max_residual <= 1e-6
-    assert floored.iterations <= 4
+    def perturbed(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol,
+                                   charging_price=0.9 * sol.charging_price)
+
+    monkeypatch.setattr(trilevel, "solve_risk_averse_evcs", perturbed)
+    with pytest.raises(TrilevelError, match="relative bound gap of") \
+            as info:
+        ccg_solve(manhattan7(), typical_days(),
+                  default_risk_config(alpha=0.5))
+    gap = float(str(info.value).split("gap of ")[1].split()[0])
+    assert gap > 100 * CCG_TOL
 
 
 def test_trilevel_reduces_to_bilevel_on_flat_grid():
@@ -164,19 +163,15 @@ def test_monotonicity_checker_catches_violations():
 
 
 def test_state_and_quote_validation():
-    cut = CcgCut(iteration=1, charging_price=(1.0,) * 24, norm_sq=24.0)
     with pytest.raises(TrilevelError, match="count from 1"):
         CcgState(iteration=0, lower_bound=0.0, upper_bound=1.0,
-                 premium=1.0, cuts=(), tolerance=1e-6)
-    with pytest.raises(TrilevelError, match="exactly"):
-        CcgState(iteration=2, lower_bound=0.0, upper_bound=1.0,
-                 premium=1.0, cuts=(cut,), tolerance=1e-6)
+                 premium=1.0)
     with pytest.raises(TrilevelError, match="above upper bound"):
         CcgState(iteration=1, lower_bound=5.0, upper_bound=1.0,
-                 premium=1.0, cuts=(cut,), tolerance=1e-6)
+                 premium=1.0)
     good = CcgState(iteration=1, lower_bound=1.0, upper_bound=1.0 + 5e-7,
-                    premium=1.0, cuts=(cut,), tolerance=1e-6)
-    assert good.relative_gap <= 1e-6
+                    premium=1.0)
+    assert good.relative_gap <= CCG_TOL
 
     quote = solve_trilevel_direct(manhattan7(), typical_days(),
                                   default_risk_config())
@@ -188,5 +183,3 @@ def test_state_and_quote_validation():
         TrilevelQuote(quote=quote.quote, dlmp=quote.dlmp,
                       tariff_cents=quote.tariff_cents,
                       duality_gaps=np.array([1e-5]), mode="direct")
-    err = CcgNonConvergenceError("no convergence", trace=(1.0, 2.0))
-    assert err.trace == (1.0, 2.0)
