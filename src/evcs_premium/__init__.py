@@ -2,7 +2,8 @@
 
 Submodules:
     smp       semi-Markov attack-probability estimation
-    backend   LP/QP solver facade with sensitivity duals
+    backend   one HiGHS adapter for LPs and the reference QP, with
+              sensitivity duals
     dcopf     DC optimal power flow and distribution locational prices
     analytic  closed-form bi-level premium under a predetermined tariff
     cvar      risk-averse (CVaR) pricing and the robust bi-level premium

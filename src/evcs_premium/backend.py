@@ -9,20 +9,17 @@ dual conventions in one place:
 * ``reduced_lower[j]`` / ``reduced_upper[j]`` are the sensitivities to the
   variable bounds.
 
-LPs (the OPF programs) go to the HiGHS dual simplex (Huangfu & Hall, Math.
-Prog. Comp. 2018) through one thin adapter over scipy's bundled bindings:
-the CSC rows and the row bounds read off the senses, under the options,
-statuses and marginals of scipy's ``method="highs"`` LP interface, which
-follow this convention. :func:`solve_lp` certifies each solution once,
+Both go to HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through one thin
+adapter over scipy's bundled bindings: the CSC rows and the row bounds read
+off the senses, under the options, statuses and marginals of scipy's
+``method="highs"`` LP interface, which follow this convention. LPs (the OPF
+programs) run the dual simplex; QPs (diagonal positive semidefinite Hessian
+only) run HiGHS's active-set QP solver. Each solution is certified once,
 per block of an LP stacked from equal blocks, as if each were solved alone.
 
-QPs (diagonal positive semidefinite Hessian only) are solved by a dense
-Mehrotra predictor-corrector interior point method followed by an
-active-set least-squares polish; row feasibility is certified up front
-with an LP phase so infeasibility never has to be inferred from IPM
-divergence. The package's own price program has a
-dedicated exact solver in :mod:`evcs_premium.cvar`; :func:`solve_qp` stays
-as the generic reference that solver is tested against.
+The package's own price program has a dedicated exact solver in
+:mod:`evcs_premium.cvar`; :func:`solve_qp` stays as the generic reference
+that solver is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ _SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 
 _FEAS_TOL = 1e-9
 _GAP_TOL = 1e-8
-_IPM_MAX_ITER = 100
 
 
 class BackendError(ValueError):
@@ -60,6 +56,8 @@ _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.log_to_console = _OPTIONS.output_flag = False
 _OPTIONS.simplex_strategy = (
     _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+# QPs only: HiGHS's default 1e-7 regularization shifts QP duals as much
+_OPTIONS.qp_regularization_value = 0.0
 _STATUS = {_highs.HighsModelStatus.kInfeasible: "infeasible",
            _highs.HighsModelStatus.kModelError: "infeasible",
            _highs.HighsModelStatus.kUnbounded: "unbounded"}
@@ -101,11 +99,12 @@ class LinearProgram:
             raise BackendError(f"unknown sense {str(self.senses[bad[0]])!r}")
 
     @classmethod
-    def from_dense(cls, cost, rows, senses, rhs, lower=None, upper=None):
+    def from_dense(cls, cost, rows, senses, rhs, lower=None, upper=None,
+                   **extra):
         n = np.size(cost)
         return cls(cost, np.asarray(rows, dtype=float).reshape(-1, n), senses,
                    rhs, np.full(n, -np.inf) if lower is None else lower,
-                   np.full(n, np.inf) if upper is None else upper)
+                   np.full(n, np.inf) if upper is None else upper, **extra)
 
     @property
     def num_vars(self):
@@ -123,15 +122,25 @@ class ConvexQP(LinearProgram):
 
     q_diag: np.ndarray = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.q_diag is None:
+            raise BackendError("QP q_diag is missing")
+        self.q_diag = np.asarray(self.q_diag, dtype=float)
+        if self.q_diag.shape != (self.num_vars,):
+            raise BackendError(f"QP q_diag must have {self.num_vars} entries, "
+                               f"got {self.q_diag.shape}")
+        ok = np.isfinite(self.q_diag) & (self.q_diag >= 0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise BackendError(
+                f"QP q_diag at index {i} is {float(self.q_diag[i])!r}: it "
+                "must be finite and nonnegative (diagonal PSD)")
+
     @classmethod
     def from_dense(cls, q_diag, cost, rows, senses, rhs, lower=None, upper=None):
-        qp = super().from_dense(cost, rows, senses, rhs, lower, upper)
-        qp.q_diag = np.asarray(q_diag, dtype=float)
-        if qp.q_diag.size != qp.num_vars:
-            raise BackendError("q_diag length must match cost length")
-        if np.any(qp.q_diag < 0):
-            raise BackendError("q_diag must be nonnegative (diagonal PSD)")
-        return qp
+        return super().from_dense(cost, rows, senses, rhs, lower, upper,
+                                  q_diag=q_diag)
 
 
 @dataclass
@@ -229,21 +238,49 @@ def _result(status, x, duals, red_lo, red_up, cert, iterations):
         certificate=cert)
 
 
-def _highs_solve(lp):
-    """One cold HiGHS run of lp, read as scipy's method="highs" reads it:
-    (model status, message, x, duals, reduced_lower, reduced_upper,
-    simplex iterations), the arrays None unless the status is optimal."""
-    n_rows, n_cols = lp.a.shape
+def _highs_solve(prob):
+    """One cold HiGHS run of an LP or a ConvexQP, read as scipy's
+    method="highs" reads an LP: (model status, message, x, duals,
+    reduced_lower, reduced_upper, iterations), the arrays None unless the
+    status is optimal.
+
+    Raises BackendError naming the first NaN or infinite cost, matrix
+    entry or right-hand side, and the first NaN bound or infinite bound
+    on the wrong side (-inf lower and +inf upper bounds mean no bound).
+    """
+    q = getattr(prob, "q_diag", None)
+    for name, values, ok in (
+            ("cost", prob.cost, np.isfinite(prob.cost)),
+            ("matrix value", prob.a.data, np.isfinite(prob.a.data)),
+            ("right-hand side", prob.rhs, np.isfinite(prob.rhs)),
+            ("lower bound", prob.lower, prob.lower < np.inf),
+            ("upper bound", prob.upper, prob.upper > -np.inf)):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            where = (f"row {prob.a.indices[i]} column "
+                     f"{np.searchsorted(prob.a.indptr, i, side='right') - 1}"
+                     if name == "matrix value" else f"index {i}")
+            raise BackendError(f"{'LP' if q is None else 'QP'} {name} at "
+                               f"{where} is {float(values[i])!r}")
+    n_rows, n_cols = prob.a.shape
+    # a colwise model from the CSC arrays
+    model = [n_cols, n_rows, prob.a.nnz, _highs.MatrixFormat.kColwise,
+             _highs.ObjSense.kMinimize, 0.0, prob.cost, prob.lower,
+             prob.upper, np.where(prob.senses == SENSE_LE, -np.inf, prob.rhs),
+             np.where(prob.senses == SENSE_GE, np.inf, prob.rhs),
+             prob.a.indptr, prob.a.indices, prob.a.data]
+    if q is not None:
+        # the diagonal Hessian as a colwise triangle of its nonzero entries,
+        # its count, format and arrays each placed after the matrix's
+        nz = np.flatnonzero(q).astype(np.int32)
+        model[3:3] = [nz.size]
+        model[5:5] = [_highs.HessianFormat.kTriangular]
+        model += [np.searchsorted(nz, np.arange(n_cols + 1)).astype(np.int32),
+                  nz, q[nz]]
     highs = _highs._Highs()
     highs.passOptions(_OPTIONS)
-    # a colwise model from the CSC arrays, every column continuous
-    if highs.passModel(
-            n_cols, n_rows, lp.a.nnz, _highs.MatrixFormat.kColwise,
-            _highs.ObjSense.kMinimize, 0.0, lp.cost, lp.lower, lp.upper,
-            np.where(lp.senses == SENSE_LE, -np.inf, lp.rhs),
-            np.where(lp.senses == SENSE_GE, np.inf, lp.rhs), lp.a.indptr,
-            lp.a.indices, lp.a.data, np.zeros(n_cols, dtype=np.int32)
-    ) == _highs.HighsStatus.kError:
+    continuous = np.zeros(n_cols, dtype=np.int32)
+    if highs.passModel(*model, continuous) == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -255,11 +292,18 @@ def _highs_solve(lp):
     basis = np.fromiter(map(int, highs.getBasis().col_status), np.int8,
                         n_cols)
     col_dual = np.array(solution.col_dual)
+    info = highs.getInfo()
     return (status, message, np.array(solution.col_value),
             np.array(solution.row_dual),
             np.where(basis == _AT_LOWER, col_dual, 0.0),
             np.where(basis == _AT_UPPER, col_dual, 0.0),
-            highs.getInfo().simplex_iteration_count)
+            info.simplex_iteration_count + info.qp_iteration_count)
+
+
+def _failed(status, message):
+    """SolveResult of a run that ended without an optimal point."""
+    return SolveResult(_STATUS.get(status, "numerical"), None, None, None,
+                       None, None, message=message)
 
 
 def solve_lp(lp: LinearProgram, blocks: int = 1) -> SolveResult:
@@ -267,238 +311,25 @@ def solve_lp(lp: LinearProgram, blocks: int = 1) -> SolveResult:
 
     The solution is certified once, per block (see :func:`certify`): the
     status is "optimal" only if every block passes the gates, and the
-    result carries the :class:`Certificate`.
-
-    Raises BackendError naming the first NaN or infinite cost, matrix
-    entry or right-hand side, and the first NaN bound or infinite bound
-    on the wrong side (-inf lower and +inf upper bounds mean no bound).
+    result carries the :class:`Certificate`. Non-finite input raises
+    BackendError (see :func:`_highs_solve`).
     """
-    for name, values, ok in (
-            ("cost", lp.cost, np.isfinite(lp.cost)),
-            ("matrix value", lp.a.data, np.isfinite(lp.a.data)),
-            ("right-hand side", lp.rhs, np.isfinite(lp.rhs)),
-            ("lower bound", lp.lower, lp.lower < np.inf),
-            ("upper bound", lp.upper, lp.upper > -np.inf)):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            where = (f"row {lp.a.indices[i]} column "
-                     f"{np.searchsorted(lp.a.indptr, i, side='right') - 1}"
-                     if name == "matrix value" else f"index {i}")
-            raise BackendError(f"LP {name} at {where} is {float(values[i])!r}")
     status, message, x, duals, red_lo, red_up, iters = _highs_solve(lp)
     if x is None:
-        return SolveResult(_STATUS.get(status, "numerical"), None, None,
-                           None, None, None, message=message)
+        return _failed(status, message)
     cert = certify(lp, x, duals, red_lo, red_up, blocks)
     status = "optimal" if cert.lp_optimal().all() else "numerical"
     return _result(status, x, duals, red_lo, red_up, cert, iters)
 
 
-# ---------------------------------------------------------------------------
-# QP interior point
-
-
-def _canonical_ineq(qp):
-    """Split a QP into equality rows and <= rows (bounds folded into rows).
-
-    Returns (E, f, G, h, tags) where tags maps each G row back to its origin:
-    ("row", i, sign), ("lower", j) or ("upper", j).
-    """
-    a = qp.a.toarray()
-    e_rows, f_vals, g_rows, h_vals, tags = [], [], [], [], []
-    for i, s in enumerate(qp.senses):
-        if s == SENSE_EQ:
-            e_rows.append(a[i])
-            f_vals.append(qp.rhs[i])
-        elif s == SENSE_LE:
-            g_rows.append(a[i])
-            h_vals.append(qp.rhs[i])
-            tags.append(("row", i, -1.0))
-        else:
-            g_rows.append(-a[i])
-            h_vals.append(-qp.rhs[i])
-            tags.append(("row", i, 1.0))
-    n = qp.num_vars
-    for j in range(n):
-        if np.isfinite(qp.lower[j]):
-            row = np.zeros(n)
-            row[j] = -1.0
-            g_rows.append(row)
-            h_vals.append(-qp.lower[j])
-            tags.append(("lower", j, 1.0))
-        if np.isfinite(qp.upper[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            g_rows.append(row)
-            h_vals.append(qp.upper[j])
-            tags.append(("upper", j, -1.0))
-    e = np.array(e_rows).reshape(-1, n)
-    g = np.array(g_rows).reshape(-1, n)
-    return e, np.array(f_vals), g, np.array(h_vals), tags
-
-
-def _kkt_solve(q, e, g, w, r1, r2, r3):
-    """Solve the reduced Newton system for (dx, dnu, dy)."""
-    n, me, mi = q.size, e.shape[0], g.shape[0]
-    k = np.zeros((n + me + mi, n + me + mi))
-    k[:n, :n] = np.diag(q)
-    k[:n, n:n + me] = e.T
-    k[:n, n + me:] = g.T
-    k[n:n + me, :n] = e
-    k[n + me:, :n] = g
-    k[n + me:, n + me:] = -np.diag(w)
-    rhs = np.concatenate([r1, r2, r3])
-    try:
-        sol = np.linalg.solve(k, rhs)
-    except np.linalg.LinAlgError:
-        k[np.diag_indices_from(k)] += 1e-12
-        sol = np.linalg.solve(k, rhs)
-    return sol[:n], sol[n:n + me], sol[n + me:]
-
-
-def _ipm(q, c, e, f, g, h):
-    """Mehrotra predictor-corrector for min .5 x q x + c x, Ex=f, Gx<=h."""
-    n, me, mi = c.size, f.size, h.size
-    if mi == 0:
-        # Pure equality QP: single KKT solve.
-        k = np.block([[np.diag(q), e.T], [e, np.zeros((me, me))]])
-        rhs = np.concatenate([-c, f])
-        sol, *_ = np.linalg.lstsq(k, rhs, rcond=None)
-        return sol[:n], sol[n:], np.zeros(0), np.zeros(0), 1
-
-    x = np.zeros(n)
-    if me:
-        x, *_ = np.linalg.lstsq(e, f, rcond=None)
-    nu = np.zeros(me)
-    s = np.maximum(1.0, np.abs(h - g @ x))
-    y = np.ones(mi)
-
-    for it in range(1, _IPM_MAX_ITER + 1):
-        r_d = q * x + c + (e.T @ nu if me else 0.0) + g.T @ y
-        r_e = (e @ x - f) if me else np.zeros(0)
-        r_i = g @ x + s - h
-        mu = (y @ s) / mi
-        scale = 1.0 + max(np.max(np.abs(c)), np.max(np.abs(h)),
-                          np.max(np.abs(f)) if me else 0.0)
-        if (np.max(np.abs(r_d)) <= 1e-11 * scale
-                and (me == 0 or np.max(np.abs(r_e)) <= 1e-11 * scale)
-                and np.max(np.abs(r_i)) <= 1e-11 * scale
-                and mu <= 1e-12 * scale):
-            return x, nu, y, s, it
-
-        w = s / y
-        # affine step
-        dxa, dnua, dya = _kkt_solve(q, e, g, w, -r_d, -r_e, -r_i + s)
-        dsa = -r_i - g @ dxa
-        ap = _max_step(s, dsa)
-        ad = _max_step(y, dya)
-        mu_aff = ((y + ad * dya) @ (s + ap * dsa)) / mi
-        sigma = (max(mu_aff, 0.0) / mu) ** 3 if mu > 0 else 0.0
-
-        # corrector
-        rc = (y * s + dya * dsa - sigma * mu) / y
-        dx, dnu, dy = _kkt_solve(q, e, g, w, -r_d, -r_e, -r_i + rc)
-        ds = -r_i - g @ dx
-        tau = min(0.99995, max(0.995, 1.0 - mu))
-        ap = tau * _max_step(s, ds)
-        ad = tau * _max_step(y, dy)
-        step = min(ap, ad)
-        x = x + step * dx
-        if me:
-            nu = nu + step * dnu
-        y = np.maximum(y + step * dy, 1e-300)
-        s = np.maximum(s + step * ds, 1e-300)
-        if np.max(np.abs(x)) > 1e12 * scale:
-            raise _Unbounded
-    return x, nu, y, s, _IPM_MAX_ITER
-
-
-class _Unbounded(Exception):
-    pass
-
-
-def _max_step(v, dv):
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-
-def _polish(q, c, e, f, g, h, x, nu, y):
-    """Resolve on the active set by least squares for crisp residuals."""
-    mi = h.size
-    s = h - g @ x
-    active = np.flatnonzero(y >= s)
-    ga = g[active]
-    me = f.size
-    na = active.size
-    n = c.size
-    k = np.zeros((n + me + na, n + me + na))
-    k[:n, :n] = np.diag(q)
-    if me:
-        k[:n, n:n + me] = e.T
-        k[n:n + me, :n] = e
-    if na:
-        k[:n, n + me:] = ga.T
-        k[n + me:, :n] = ga
-    rhs = np.concatenate([-c, f, h[active]])
-    sol, *_ = np.linalg.lstsq(k, rhs, rcond=None)
-    xp = sol[:n]
-    nup = sol[n:n + me]
-    yp = np.zeros(mi)
-    yp[active] = sol[n + me:]
-
-    scale = 1.0 + max(np.max(np.abs(c)), np.max(np.abs(h), initial=0.0),
-                      np.max(np.abs(f)) if me else 0.0)
-    ok = (np.all(yp >= -1e-9 * scale)
-          and np.max(g @ xp - h, initial=0.0) <= 1e-9 * scale
-          and (me == 0 or np.max(np.abs(e @ xp - f)) <= 1e-9 * scale))
-    if ok:
-        stat = q * xp + c + (e.T @ nup if me else 0.0) + g.T @ yp
-        ok = np.max(np.abs(stat)) <= 1e-8 * scale
-    if not ok:
-        return x, nu, y
-    return xp, nup, np.maximum(yp, 0.0)
-
-
 def solve_qp(qp: ConvexQP) -> SolveResult:
-    """Solve a diagonal-PSD QP; duals follow the sensitivity convention."""
-    n, m = qp.num_vars, qp.num_rows
-
-    # Certify row feasibility with an LP phase before running the IPM.
-    feas = solve_lp(LinearProgram(np.zeros(n), qp.a, qp.senses, qp.rhs,
-                                  qp.lower, qp.upper))
-    if feas.status == "infeasible":
-        return SolveResult("infeasible", None, None, None, None, None,
-                           message="constraint rows are infeasible")
-
-    e, f, g, h, tags = _canonical_ineq(qp)
-    try:
-        x, nu, y, s, iters = _ipm(qp.q_diag, qp.cost, e, f, g, h)
-    except _Unbounded:
-        return SolveResult("unbounded", None, None, None, None, None,
-                           message="iterates diverged")
-    if h.size:
-        x, nu, y = _polish(qp.q_diag, qp.cost, e, f, g, h, x, nu, y)
-
-    # Map internal multipliers back to reported sensitivity duals.
-    duals = np.zeros(m)
-    red_lo = np.zeros(n)
-    red_up = np.zeros(n)
-    eq_seen = 0
-    for i, sense in enumerate(qp.senses):
-        if sense == SENSE_EQ:
-            duals[i] = -nu[eq_seen]
-            eq_seen += 1
-    for k_row, (kind, idx, sign) in enumerate(tags):
-        val = sign * y[k_row]
-        if kind == "row":
-            duals[idx] = val
-        elif kind == "lower":
-            red_lo[idx] = val
-        else:
-            red_up[idx] = val
-
+    """Solve a diagonal-PSD QP with HiGHS; duals follow the sensitivity
+    convention, and the status is "optimal" only if the KKT certificate
+    passes its gates, scaled by the objective and the costs. Non-finite
+    input raises BackendError (see :func:`_highs_solve`)."""
+    status, message, x, duals, red_lo, red_up, iters = _highs_solve(qp)
+    if x is None:
+        return _failed(status, message)
     cert = certify(qp, x, duals, red_lo, red_up)
     scale = abs(cert.objective[0]) + cert.cost_scale[0]
     status = "optimal"

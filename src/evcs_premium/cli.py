@@ -103,15 +103,7 @@ def _cmd_smp(args):
     print(json.dumps(doc, indent=2, sort_keys=True))
     os.makedirs(args.out, exist_ok=True)
     dataio._write_json(os.path.join(args.out, "smp.json"), doc)
-    with open(os.path.join(args.out, "smp.csv"), "w", newline="") as fh:
-        fh.write("# attack-chain summary; units: sojourn in hours, "
-                 "probabilities dimensionless\n")
-        fh.write("quantity,state,value\n")
-        for s, state in enumerate(STATES):
-            fh.write(f"sojourn,{state},{result.sojourn[s]!r}\n")
-        for s, state in enumerate(STATES):
-            fh.write(f"steady_state,{state},{result.steady_state[s]!r}\n")
-        fh.write(f"p_attack,F,{result.p_attack!r}\n")
+    dataio.write_smp(os.path.join(args.out, "smp.csv"), result)
     return 0
 
 

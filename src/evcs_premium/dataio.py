@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import POLICY_FIELDS, PolicyFactors, TypicalDaySet
 from .cvar import PolicyBox, RiskConfig
 from .dcopf import Generator, HOURS, Line, Network
-from .smp import SmpModel, TRANSITIONS, WeibullDist
+from .smp import STATES, SmpModel, TRANSITIONS, WeibullDist
 
 
 class DataError(ValueError):
@@ -342,7 +342,8 @@ def write_dlmp(path, network: Network, results):
         for res in results:
             for t in range(HOURS):
                 for b, bus in enumerate(network.buses):
-                    fh.write(f"{res.day},{t + 1},{bus},{res.dlmp[b, t]!r}\n")
+                    fh.write(
+                        f"{res.day},{t + 1},{bus},{_fmt(res.dlmp[b, t])}\n")
 
 
 def write_charging_price(path, price, label="charging price"):
@@ -351,7 +352,22 @@ def write_charging_price(path, price, label="charging price"):
         fh.write(f"# {label}; units: lambda_c in cents/kWh, hour in 1..24\n")
         fh.write("hour,lambda_c\n")
         for t in range(HOURS):
-            fh.write(f"{t + 1},{price[t]!r}\n")
+            fh.write(f"{t + 1},{_fmt(price[t])}\n")
+
+
+def write_smp(path, result, published_p_attack=None):
+    """Attack-chain summary CSV (quantity,state,value): the sojourn and
+    steady state of each state, p_attack, then published_p_attack if given."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# attack-chain summary; units: sojourn in hours, "
+                 "probabilities dimensionless\n")
+        fh.write("quantity,state,value\n")
+        for quantity in ("sojourn", "steady_state"):
+            for state, value in zip(STATES, getattr(result, quantity)):
+                fh.write(f"{quantity},{state},{_fmt(value)}\n")
+        fh.write(f"p_attack,F,{_fmt(result.p_attack)}\n")
+        if published_p_attack is not None:
+            fh.write(f"published_p_attack,F,{_fmt(published_p_attack)}\n")
 
 
 SWEEP_HEADER = ["scale", "alpha", "bound", "lambda_c_avg", "x_hat"]

@@ -153,17 +153,8 @@ def run_case(config: CaseConfig) -> ReportBundle:
                                "relative_epsilon":
                                    config.confidence_epsilon},
         })
-        with open(path_for("smp_csv", "smp.csv"), "w", newline="") as fh:
-            fh.write("# attack-chain summary; units: sojourn in hours, "
-                     "probabilities dimensionless\n")
-            fh.write("quantity,state,value\n")
-            for s, state in enumerate(STATES):
-                fh.write(f"sojourn,{state},{smp_result.sojourn[s]!r}\n")
-            for s, state in enumerate(STATES):
-                fh.write(
-                    f"steady_state,{state},{smp_result.steady_state[s]!r}\n")
-            fh.write(f"p_attack,F,{smp_result.p_attack!r}\n")
-            fh.write(f"published_p_attack,F,{published.p_attack!r}\n")
+        dataio.write_smp(path_for("smp_csv", "smp.csv"), smp_result,
+                         published.p_attack)
         completed.append(stage)
 
         stage = "dlmp"
@@ -274,7 +265,7 @@ def emit_plot_data(bundle: ReportBundle, out_dir):
         for axis in sorted(bundle.sensitivity):
             grid, premiums = bundle.sensitivity[axis]
             for v, x in zip(grid, premiums):
-                fh.write(f"{axis},{v!r},{x!r}\n")
+                fh.write(f"{axis},{dataio._fmt(v)},{dataio._fmt(x)}\n")
     paths["fig4"] = p4
     bundle.outputs.setdefault("fig4", os.path.basename(p4))
 

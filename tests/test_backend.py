@@ -447,3 +447,47 @@ class TestSolveQp:
     def test_negative_curvature_rejected(self):
         with pytest.raises(BackendError):
             ConvexQP.from_dense([-1.0], [0.0], [[1.0]], [SENSE_LE], [1.0])
+
+    def test_unbounded(self):
+        # min -x over x >= 0 with no curvature at all
+        qp = ConvexQP.from_dense([0.0], [-1.0], np.zeros((0, 1)), [], [],
+                                 lower=[0.0])
+        assert solve_qp(qp).status == "unbounded"
+        # min x0^2 - x1 s.t. x0 >= 1, x1 >= 0: x1 has zero curvature
+        qp = ConvexQP.from_dense([2.0, 0.0], [0.0, -1.0], [[1.0, 0.0]],
+                                 [SENSE_GE], [1.0], lower=[-np.inf, 0.0])
+        res = solve_qp(qp)
+        assert res.status == "unbounded" and res.x is None
+
+    @pytest.mark.parametrize("q_diag, message", [
+        ([np.nan], "QP q_diag at index 0 is nan"),
+        ([np.inf], "QP q_diag at index 0 is inf"),
+        ([-1.0], "QP q_diag at index 0 is -1.0"),
+        ([1.0, 1.0], "QP q_diag must have 1 entries"),
+        (None, "QP q_diag is missing"),
+    ])
+    def test_hessian_validated_on_construction(self, q_diag, message):
+        with pytest.raises(BackendError, match=message):
+            ConvexQP.from_dense(q_diag, [0.0], [[1.0]], [SENSE_GE], [1.0])
+        # the dataclass constructor checks it as well
+        with pytest.raises(BackendError, match=message):
+            ConvexQP([0.0], [[1.0]], [SENSE_GE], [1.0], [-np.inf], [np.inf],
+                     q_diag)
+
+    @pytest.mark.parametrize("field, at, bad, message", [
+        ("cost", 0, np.nan, "QP cost at index 0 is nan"),
+        ("rows", 1, np.inf, "QP matrix value at row 1 column 0 is inf"),
+        ("rhs", 0, np.nan, "QP right-hand side at index 0 is nan"),
+        ("lower", 0, np.nan, "QP lower bound at index 0 is nan"),
+        ("upper", 0, -np.inf, "QP upper bound at index 0 is -inf"),
+    ])
+    def test_non_finite_input_rejected(self, field, at, bad, message):
+        # min x^2 + x s.t. x >= 0 and x >= -5, one entry replaced
+        data = {"cost": [1.0], "rows": [1.0, 1.0], "rhs": [0.0, -5.0],
+                "lower": [-np.inf], "upper": [np.inf]}
+        data[field][at] = bad
+        qp = ConvexQP.from_dense(
+            [2.0], data["cost"], np.reshape(data["rows"], (2, 1)),
+            [SENSE_GE, SENSE_GE], data["rhs"], data["lower"], data["upper"])
+        with pytest.raises(BackendError, match=message):
+            solve_qp(qp)

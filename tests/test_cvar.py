@@ -550,8 +550,8 @@ def test_configuration_validation():
 
 
 def _reference_prices(days, x_hat, config, tariff):
-    """The price program as the generic QP, solved by the backend's
-    interior-point solver; returns its status, the prices and a.
+    """The price program as the generic QP, solved by backend.solve_qp
+    (HiGHS's active-set QP solver); returns its status, the prices and a.
 
     For 0 < alpha < 1 the variables are (lambda, v', zeta'):
 
@@ -559,10 +559,9 @@ def _reference_prices(days, x_hat, config, tariff):
         alpha zeta'^s + v' + m d^s.lambda / d_ref >= a^s / d_ref,
         zeta' >= 0, lambda >= 0.
 
-    At alpha = 1 the pair (v', zeta') has a cost-free recession ray that
-    stalls the interior point, so the tail collapses to the expectation
-    row E[c] <= 0; at alpha = 0 it is the worst-case epigraph over
-    (lambda, v') with v' <= 0.
+    At alpha = 1 the pair (v', zeta') has a cost-free recession ray, so
+    the tail collapses to the expectation row E[c] <= 0; at alpha = 0 it
+    is the worst-case epigraph over (lambda, v') with v' <= 0.
     """
     policy = config.resolved_policy()
     m = premium_multiplier_M(policy)
@@ -652,6 +651,45 @@ def test_cutting_planes_match_interior_point_reference(program):
     assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
     assert kkt_report(sol, days, x_hat, config,
                       tariff).max_residual <= 1e-6
+
+
+def _drawn_program(alpha, rng):
+    """A price program drawn like _price_programs at a given alpha, from a
+    numpy generator instead of hypothesis ("uniform" draws alpha too)."""
+    n_day = int(rng.integers(1, 13))
+    n_hour = int(rng.integers(1, 25))
+    if alpha == "uniform":
+        alpha = float(rng.uniform(0.0, 1.0))
+    phi = rng.dirichlet(np.ones(n_day))
+    demand = (10.0 ** rng.uniform(-3.0, 6.0)
+              * rng.uniform(0.0, 1.0, size=(n_day, n_hour)))
+    if n_day > 1 and rng.uniform() < 0.2:
+        demand[rng.integers(n_day)] = 0.0
+    tariff = rng.uniform(-1.0, 6.0, size=(n_day, n_hour))
+    m_zero = rng.uniform() < 0.1
+    policy = PolicyFactors(
+        p_attack=1.0 if m_zero else float(rng.uniform(0.0, 1.0)),
+        loading=0.1, risk_share=0.0 if m_zero else float(rng.uniform()),
+        history_coeff=0.0, attack_count=0,
+        penalty=float(rng.uniform(0.0, 5.0)))
+    return (TypicalDaySet(phi / phi.sum(), demand), float(rng.uniform(0, 3)),
+            _point_config(policy, alpha), tariff)
+
+
+@pytest.mark.parametrize("alpha, seed", [
+    (1.0 - 1e-9, 1753),  # a non-binding point 4.4e-4 off, called optimal
+    (0.0, 400),  # zero-demand days: 1.8e-7 off, called optimal
+    (0.0, 1330),  # 7.0e-7 off, called optimal
+    (1e-9, 401),  # a zero-demand day: status "numerical"
+])
+def test_reference_qp_regressions(alpha, seed):
+    """Programs the former dense interior-point reference got wrong."""
+    days, x_hat, config, tariff = _drawn_program(
+        alpha, np.random.default_rng([77, seed]))
+    status, ref, _ = _reference_prices(days, x_hat, config, tariff)
+    assert status == "optimal"
+    lam = solve_risk_averse_evcs(days, x_hat, config, tariff).charging_price
+    assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
 
 @given(_price_programs(), st.floats(0.0, 3.0))

@@ -243,12 +243,18 @@ def test_run_case_outputs_and_manifest(tmp_path):
                            for a in (1.0, 0.5)
                            for b in ("lower", "expected", "upper")}
 
-    # every table leads with a unit-bearing comment
+    # every table leads with a unit-bearing comment, and every numeric
+    # cell reads back as a float
+    labels = {"day", "factor", "bound", "quantity", "state"}
     for name in ("dlmp.csv", "tariff.csv", "lambda_c.csv", "sweep.csv",
                  "smp.csv", "fig4_sensitivity.csv", "fig5_scaling.csv",
                  "fig6_alpha_bounds.csv"):
         first = (out / name).read_text().splitlines()[0]
         assert first.startswith("#") and "units" in first, name
+        for row in dataio.read_table(out / name):
+            for column, cell in row.items():
+                if column not in labels:
+                    float(cell)
 
     fig4 = dataio.read_table(out / "fig4_sensitivity.csv")
     assert len(fig4) == 4 * 9
