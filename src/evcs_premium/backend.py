@@ -16,6 +16,9 @@ off the senses, under the options, statuses and marginals of scipy's
 programs) run the dual simplex; QPs (diagonal positive semidefinite Hessian
 only) run HiGHS's active-set QP solver. Each solution is certified once,
 per block of an LP stacked from equal blocks, as if each were solved alone.
+Every run builds a fresh model; :func:`solve_lp` can start it from the
+final basis of an earlier LP of the same shape, which the result carries,
+and HiGHS then skips presolve and hot-starts the dual simplex.
 
 The package's own price program has a dedicated exact solver in
 :mod:`evcs_premium.cvar`; :func:`solve_qp` stays as the generic reference
@@ -158,6 +161,7 @@ class SolveResult:
     iterations: int = 0
     message: str = ""
     certificate: Certificate | None = None
+    basis: object = None  # HiGHS's final basis, to start a same-shape LP
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
         cost_scale=1.0 + np.abs(by_block(prob.cost)).max(axis=1, initial=0.0))
 
 
-def _result(status, x, duals, red_lo, red_up, cert, iterations):
+def _result(status, x, duals, red_lo, red_up, cert, iterations, basis):
     """SolveResult with the certificate, worst or summed over its blocks."""
     return SolveResult(
         status, x, float(cert.objective.sum()), duals, red_lo, red_up,
@@ -235,14 +239,15 @@ def _result(status, x, duals, red_lo, red_up, cert, iterations):
         dual_infeasibility=float(cert.dual_infeasibility.max()),
         duality_gap=float(cert.duality_gap.max()),
         comp_slack=float(cert.comp_slack.sum()), iterations=iterations,
-        certificate=cert)
+        certificate=cert, basis=basis)
 
 
-def _highs_solve(prob):
-    """One cold HiGHS run of an LP or a ConvexQP, read as scipy's
-    method="highs" reads an LP: (model status, message, x, duals,
-    reduced_lower, reduced_upper, iterations), the arrays None unless the
-    status is optimal.
+def _highs_solve(prob, basis=None):
+    """One HiGHS run of an LP or a ConvexQP, read as scipy's method="highs"
+    reads an LP: (model status, message, x, duals, reduced_lower,
+    reduced_upper, iterations, final basis), the arrays and the basis None
+    unless the status is optimal. A ``basis`` (a final basis of a program
+    of the same shape) starts the run from that basis, skipping presolve.
 
     Raises BackendError naming the first NaN or infinite cost, matrix
     entry or right-hand side, and the first NaN bound or infinite bound
@@ -283,21 +288,25 @@ def _highs_solve(prob):
     if highs.passModel(*model, continuous) == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
     else:
+        if basis is not None:
+            highs.setBasis(basis)
         highs.run()
         status = highs.getModelStatus()
     message = f"HiGHS model status {highs.modelStatusToString(status)}"
     if status != _highs.HighsModelStatus.kOptimal:
-        return status, message, None, None, None, None, 0
+        return status, message, None, None, None, None, 0, None
     solution = highs.getSolution()
-    basis = np.fromiter(map(int, highs.getBasis().col_status), np.int8,
-                        n_cols)
+    final = highs.getBasis()
+    # bytes() reads each fresh enum object's __index__ in C, faster than
+    # int() per entry; an identity test against kLower never matches
+    side = np.frombuffer(bytes(final.col_status), np.int8)
     col_dual = np.array(solution.col_dual)
     info = highs.getInfo()
     return (status, message, np.array(solution.col_value),
             np.array(solution.row_dual),
-            np.where(basis == _AT_LOWER, col_dual, 0.0),
-            np.where(basis == _AT_UPPER, col_dual, 0.0),
-            info.simplex_iteration_count + info.qp_iteration_count)
+            np.where(side == _AT_LOWER, col_dual, 0.0),
+            np.where(side == _AT_UPPER, col_dual, 0.0),
+            info.simplex_iteration_count + info.qp_iteration_count, final)
 
 
 def _failed(status, message):
@@ -306,20 +315,21 @@ def _failed(status, message):
                        None, None, message=message)
 
 
-def solve_lp(lp: LinearProgram, blocks: int = 1) -> SolveResult:
+def solve_lp(lp: LinearProgram, blocks: int = 1, basis=None) -> SolveResult:
     """Solve an LP with HiGHS, returning sensitivity-convention duals.
 
     The solution is certified once, per block (see :func:`certify`): the
     status is "optimal" only if every block passes the gates, and the
-    result carries the :class:`Certificate`. Non-finite input raises
-    BackendError (see :func:`_highs_solve`).
+    result carries the :class:`Certificate` and HiGHS's final basis, which
+    may start the solve of another LP of the same shape (``basis``).
+    Non-finite input raises BackendError (see :func:`_highs_solve`).
     """
-    status, message, x, duals, red_lo, red_up, iters = _highs_solve(lp)
+    status, message, x, duals, lo, up, iters, final = _highs_solve(lp, basis)
     if x is None:
         return _failed(status, message)
-    cert = certify(lp, x, duals, red_lo, red_up, blocks)
+    cert = certify(lp, x, duals, lo, up, blocks)
     status = "optimal" if cert.lp_optimal().all() else "numerical"
-    return _result(status, x, duals, red_lo, red_up, cert, iters)
+    return _result(status, x, duals, lo, up, cert, iters, final)
 
 
 def solve_qp(qp: ConvexQP) -> SolveResult:
@@ -327,13 +337,13 @@ def solve_qp(qp: ConvexQP) -> SolveResult:
     convention, and the status is "optimal" only if the KKT certificate
     passes its gates, scaled by the objective and the costs. Non-finite
     input raises BackendError (see :func:`_highs_solve`)."""
-    status, message, x, duals, red_lo, red_up, iters = _highs_solve(qp)
+    status, message, x, duals, lo, up, iters, final = _highs_solve(qp)
     if x is None:
         return _failed(status, message)
-    cert = certify(qp, x, duals, red_lo, red_up)
+    cert = certify(qp, x, duals, lo, up)
     scale = abs(cert.objective[0]) + cert.cost_scale[0]
     status = "optimal"
     if not (cert.primal_infeasibility[0] <= _FEAS_TOL * scale
             and cert.dual_infeasibility[0] <= 1e-8 * scale):
         status = "numerical"
-    return _result(status, x, duals, red_lo, red_up, cert, iters)
+    return _result(status, x, duals, lo, up, cert, iters, final)

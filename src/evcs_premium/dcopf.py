@@ -17,6 +17,14 @@ gated at its own scale as if it had been solved alone. Only a day that
 cannot be served is solved again hour by hour, to name the first hour no
 dispatch can serve.
 
+Since the days of a network share the matrix and the bounds,
+:func:`per_day_dlmps` starts each day after the first from the previous
+day's final HiGHS basis (Huangfu & Hall's dual simplex hot start). The
+basis lives only for that call, so results depend on the inputs alone;
+a warm-started day that misses any gate is solved again cold before an
+error is raised, and an infeasible one goes straight to the hourly
+search.
+
 The DLMP at a bus is the sensitivity dual of its balance row. The remaining
 duals are reported in the sign convention of the stationarity identities
 checked by :func:`dual_feasibility_check`:
@@ -255,10 +263,12 @@ class DlmpResult:
     balance_residual: float   # max |balance violation| MW over bus-hours
 
 
-def solve_dcopf(network: Network, day, evcs_demand_mw=None):
+def solve_dcopf(network: Network, day, evcs_demand_mw=None, warm=None):
     """Solve one typical day's OPF and extract DLMPs.
 
     evcs_demand_mw: optional 24-vector added to the EVCS bus demand.
+    warm: optional dict carrying HiGHS's final basis from one day's solve
+    to the next day's of the same network (see :func:`per_day_dlmps`).
     """
     demand = network.demand_matrix(day)
     if evcs_demand_mw is not None:
@@ -272,9 +282,23 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None):
         demand[network.bus_index()[network.evcs_bus]] += ev
 
     block = network._hour_block
-    res = solve_lp(block.lp(demand, block.cost), blocks=HOURS)
+    basis = warm.pop("basis", None) if warm else None
+    res = solve_lp(block.lp(demand, block.cost), blocks=HOURS, basis=basis)
     if res.status == "infeasible":
         raise _first_binding_hour(block, day, demand)
+    try:
+        result = _day_result(network, block, day, demand, res)
+    except DcopfError:
+        if basis is None:
+            raise
+        return solve_dcopf(network, day, evcs_demand_mw, warm)  # cold
+    if warm is not None:
+        warm["basis"] = res.basis
+    return result
+
+
+def _day_result(network, block, day, demand, res):
+    """The DlmpResult of a solved day; DcopfError if it misses a gate."""
     if res.x is None:
         raise DcopfError(f"day {day!r}: solver status {res.status}")
     hours = res.certificate  # solve_lp's gates, each hour at its own scale
@@ -385,12 +409,12 @@ def predetermined_tariff(network: Network, days):
 
 
 def per_day_dlmps(network: Network, days):
-    """Solve every typical day with its EVCS demand; list of DlmpResult."""
-    out = []
-    for s, day in enumerate(days.day_ids):
-        ev_mw = kw_to_mw(days.demand_kw[s])
-        out.append(solve_dcopf(network, day, ev_mw))
-    return out
+    """Solve every typical day with its EVCS demand; list of DlmpResult.
+
+    Each day after the first starts from the previous day's final basis."""
+    warm = {}
+    return [solve_dcopf(network, day, kw_to_mw(days.demand_kw[s]), warm)
+            for s, day in enumerate(days.day_ids)]
 
 
 def evcs_tariff_cents(network: Network, results):

@@ -58,6 +58,13 @@ class CaseConfig:
     def __post_init__(self):
         if not (self.alphas and self.bounds and self.scales):
             raise CaseError("config", "run matrix must be nonempty")
+        if not np.isfinite(self.confidence_epsilon):
+            raise CaseError("config", "confidence_epsilon must be finite, "
+                                      f"got {self.confidence_epsilon!r}")
+        for scale in self.scales:
+            if not (np.isfinite(scale) and scale > 0):
+                raise CaseError("config", "demand scales must be finite and "
+                                          f"positive, got {scale!r}")
         for name in ("network_path", "days_path", "transitions_path",
                      "policy_path", "policy_box_path"):
             path = getattr(self, name)

@@ -267,6 +267,9 @@ def confidence_box(center, sigma, n, xi):
 
 def relative_box(center, eps):
     """Box from a relative half-width: [center(1-eps), center(1+eps)]."""
+    if not (np.isfinite(center) and np.isfinite(eps)):
+        raise SmpError("relative box needs a finite center and epsilon, "
+                       f"got {center!r} and {eps!r}")
     if eps < 0:
         raise SmpError("relative epsilon must be nonnegative")
     lower = center * (1.0 - eps)

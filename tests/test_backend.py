@@ -257,8 +257,8 @@ class TestSolveLp:
         # and with it the status
         raw_solve = backend._highs_solve
 
-        def perturbed(lp):
-            out = raw_solve(lp)
+        def perturbed(lp, basis=None):
+            out = raw_solve(lp, basis)
             out[3][4] += 1e-3
             return out
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from evcs_premium import backend, dcopf
 from evcs_premium.analytic import TypicalDaySet
@@ -241,9 +241,9 @@ def lp_calls(monkeypatch):
     """The LPs dcopf hands to solve_lp, in call order."""
     calls = []
 
-    def counting(lp, blocks=1):
+    def counting(lp, blocks=1, basis=None):
         calls.append(lp)
-        return solve_lp(lp, blocks=blocks)
+        return solve_lp(lp, blocks=blocks, basis=basis)
 
     monkeypatch.setattr(dcopf, "solve_lp", counting)
     return calls
@@ -320,8 +320,8 @@ def test_hour_missing_its_gates_is_named(monkeypatch):
     # injected into HiGHS's raw solution before solve_lp certifies it
     raw_solve = backend._highs_solve
 
-    def perturbed(lp):
-        out = raw_solve(lp)
+    def perturbed(lp, basis=None):
+        out = raw_solve(lp, basis)
         out[3][4 * lp.num_rows // 24] += 1e-3
         return out
 
@@ -329,6 +329,93 @@ def test_hour_missing_its_gates_is_named(monkeypatch):
     with pytest.raises(DcopfError, match="day 'd1' hour 5: solution misses "
                                          "the optimality gates"):
         solve_dcopf(_two_bus(limit=200.0), "d1")
+
+
+def _grid_feeder(rng, n_bus, n_days):
+    """A feeder like the benchmark's grid ones: a radial tree plus one or
+    two chords with limits that congest, a root unit with an hourly cost,
+    a local backup unit able to carry each load bus alone (so every day is
+    servable), and several days of base and charging load."""
+    buses = tuple(range(1, n_bus + 1))
+    peak = rng.uniform(0.3, 2.5, n_bus)
+    ev_kw = rng.uniform(300.0, 2500.0, (n_days, 1)) * rng.uniform(
+        0.15, 1.0, (n_days, 24))
+    evcs_bus = int(rng.integers(2, n_bus + 1))
+    pairs = {(int(rng.integers(max(1, b - 4), b)), b) for b in buses[1:]}
+    for _ in range(int(rng.integers(1, 3))):
+        a, b = sorted(int(v) for v in rng.choice(buses, 2, replace=False))
+        pairs.add((a, b))
+    lines = tuple(Line(a, b, float(rng.uniform(0.02, 0.12)),
+                       float(rng.uniform(0.1, 0.8) * peak.sum()))
+                  for a, b in sorted(pairs))
+    gens = [Generator(1, 18.0 + 10.0 * rng.uniform(size=24),
+                      2.0 * peak.sum() + ev_kw.max() / 1e3)]
+    gens += [Generator(b, float(rng.uniform(45.0, 95.0)) + 1e-3 * b,
+                       1.1 * peak[b - 1] + (b == evcs_bus) * ev_kw.max() / 1e3)
+             for b in buses[1:]]
+    base = {f"d{k + 1}": {b: peak[b - 1] * rng.uniform(0.45, 1.0, 24)
+                          for b in buses[1:]} for k in range(n_days)}
+    days = TypicalDaySet(likelihood=np.full(n_days, 1.0 / n_days),
+                         demand_kw=ev_kw, day_ids=tuple(base))
+    return Network(buses=buses, lines=lines, generators=tuple(gens),
+                   base_demand=base, evcs_bus=evcs_bus), days
+
+
+def _cold_days(net, days):
+    """Each day of per_day_dlmps solved alone, from no basis."""
+    return [solve_dcopf(net, day, kw_to_mw(days.demand_kw[s]))
+            for s, day in enumerate(days.day_ids)]
+
+
+def test_warm_started_days_match_cold_solves():
+    cases = [(manhattan7(), typical_days().scaled(scale))
+             for scale in (1, 100, 400, 800, 1000)]
+    rng = np.random.default_rng(1009)
+    cases += [_grid_feeder(rng, 7 + k % 14, 2 + k % 5) for k in range(40)]
+    congested = 0
+    for net, days in cases:
+        for warm, cold in zip(per_day_dlmps(net, days), _cold_days(net, days)):
+            assert np.abs(warm.dlmp - cold.dlmp).max() <= (
+                1e-12 * np.abs(cold.dlmp).max())
+            assert abs(warm.c_ll - warm.c_dll) <= 1e-8 * (1.0 + abs(warm.c_ll))
+            assert warm.balance_residual <= 1e-7
+            assert dual_feasibility_check(warm, net).max_residual <= 1e-7
+            congested += np.ptp(warm.dlmp, axis=0).max() > 1.0
+    assert congested > 100  # most days price buses apart by congestion
+
+
+def test_warm_start_keeps_no_state_between_calls():
+    net = manhattan7()
+    days = typical_days().scaled(400)
+    first = per_day_dlmps(net, days)
+    per_day_dlmps(net, typical_days().scaled(1000))
+    solve_dcopf(net, days.day_ids[-1])
+    for again in (per_day_dlmps(net, days), per_day_dlmps(manhattan7(), days)):
+        for a, b in zip(first, again):
+            for f in dataclasses.fields(a):
+                assert_array_equal(getattr(b, f.name), getattr(a, f.name),
+                                   strict=True)
+
+
+def test_warm_day_missing_its_gates_is_solved_cold(monkeypatch):
+    raw_solve = backend._highs_solve
+    warm_starts = []
+
+    def spoiled(lp, basis=None):
+        warm_starts.append(basis is not None)
+        out = raw_solve(lp, basis)
+        if basis is not None:
+            out[3][0] += 1e-3  # a dual error far above hour 1's gate
+        return out
+
+    net, days = manhattan7(), typical_days().scaled(400)
+    monkeypatch.setattr(backend, "_highs_solve", spoiled)
+    got = per_day_dlmps(net, days)
+    # day 1 cold; each later day warm, spoiled, then solved again cold
+    assert warm_starts == [False] + [True, False] * 3
+    monkeypatch.undo()
+    for a, b in zip(got, _cold_days(net, days)):
+        assert_array_equal(a.dlmp, b.dlmp, strict=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

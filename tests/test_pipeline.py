@@ -1,10 +1,12 @@
 """Case pipeline, file formats, and the CLI front end."""
 
+import copy
 import csv
 import filecmp
 import importlib
 import json
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -22,7 +24,7 @@ from evcs_premium.fixtures import (
 )
 from evcs_premium.pipeline import CaseConfig, CaseError, run_case
 from evcs_premium.smp import TRANSITIONS
-from evcs_premium.trilevel import SweepRow
+from evcs_premium.trilevel import SweepRow, ccg_solve
 
 
 def test_days_roundtrip_exact(tmp_path):
@@ -298,6 +300,35 @@ def test_case_config_validation(tmp_path):
     with pytest.raises(CaseError, match="does not exist"):
         CaseConfig(out_dir=str(tmp_path),
                    days_path=str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(confidence_epsilon=np.nan), "confidence_epsilon must be finite"),
+    (dict(confidence_epsilon=np.inf), "confidence_epsilon must be finite"),
+    (dict(scales=(1, np.nan)), "scales must be finite and positive"),
+    (dict(scales=(1, np.inf)), "scales must be finite and positive"),
+    (dict(scales=(1, -5)), "scales must be finite and positive"),
+    (dict(scales=(0, 1)), "scales must be finite and positive"),
+])
+def test_case_config_rejects_bad_numbers(tmp_path, bad, match):
+    # before any stage runs: a NaN epsilon used to reach smp.json as a
+    # bare NaN, and a bad scale to fail only at stage 'trilevel'
+    with pytest.raises(CaseError, match=match) as info:
+        CaseConfig(out_dir=str(tmp_path / "case"), **bad)
+    assert info.value.stage == "config"
+    assert not (tmp_path / "case").exists()
+
+
+def test_results_pickle_and_deepcopy(tmp_path):
+    # no solver object (such as a HiGHS basis) rides on a returned result
+    net, days = manhattan7(), typical_days()
+    for result in (per_day_dlmps(net, days),
+                   ccg_solve(net, days, default_risk_config()),
+                   run_case(CaseConfig(out_dir=str(tmp_path),
+                                       **_SMALL_MATRIX))):
+        for twin in (pickle.loads(pickle.dumps(result)),
+                     copy.deepcopy(result)):
+            assert repr(twin) == repr(result)
 
 
 def test_cli_smp(tmp_path, capsys):

@@ -270,6 +270,12 @@ class TestConfidenceBox:
         assert_allclose(box.upper, 0.04378, rtol=1e-12)
         assert box.center == 0.0398
 
+    @pytest.mark.parametrize("center, eps", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.0398, np.nan), (0.0398, np.inf)])
+    def test_relative_box_rejects_non_finite(self, center, eps):
+        with pytest.raises(smp.SmpError, match="finite center and epsilon"):
+            smp.relative_box(center, eps)
+
     def test_student_t_quantiles(self):
         # df=1, 95%: t = 12.7062047364; large df approaches the normal 1.959964
         box = smp.confidence_box(0.5, 1.0, 2, 0.05)
