@@ -25,7 +25,7 @@ a dollars view is provided for reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -262,17 +262,8 @@ def sensitivity_sweep(base: PolicyFactors, axis, grid, days: TypicalDaySet,
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.size)
     for i, value in enumerate(grid):
-        fields = {
-            "p_attack": base.p_attack,
-            "loading": base.loading,
-            "risk_share": base.risk_share,
-            "history_coeff": base.history_coeff,
-            "attack_count": base.attack_count,
-            "penalty": base.penalty,
-        }
-        fields[axis] = value
         try:
-            pol = PolicyFactors(**fields)
+            pol = replace(base, **{axis: value})
         except AnalyticError as exc:
             raise AnalyticError(
                 f"{axis} grid point {value!r} outside domain: {exc}") from exc

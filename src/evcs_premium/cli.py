@@ -22,7 +22,7 @@ from .dcopf import HOURS, evcs_tariff_cents, per_day_dlmps
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     reference_smp_model, typical_days
-from .pipeline import CaseConfig, ReportBundle, run_case
+from .pipeline import CaseConfig, ReportBundle, _quote_doc, run_case
 from .smp import STATES, attack_probability, relative_box, run_chain
 from .trilevel import ccg_solve, demand_scaling_sweep, \
     solve_trilevel_direct
@@ -65,16 +65,8 @@ def _risk_from(args):
 
 
 def _write_quote(out, quote, name="premium_quote", extra=None):
-    doc = {
-        "premium_cents": quote.premium,
-        "premium_dollars": quote.premium_dollars,
-        "per_kwh_cents": quote.per_kwh,
-        "alpha": quote.alpha,
-        "bound_mode": quote.bound_mode,
-        "iterations": quote.iterations,
-        "kkt_max_residual": quote.kkt_max_residual,
-        "total_demand_kwh": quote.total_demand,
-    }
+    doc = _quote_doc(quote)
+    del doc["charging_price_cents_per_kwh"]  # written to lambda_c.csv
     if extra:
         doc.update(extra)
     dataio._write_json(os.path.join(out, f"{name}.json"), doc)

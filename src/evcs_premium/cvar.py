@@ -16,11 +16,15 @@ step x + g / (1 - f') on g = f - x, with f' read from the final master's
 QR, lands on the root unless the active set changes on the way. It
 starts from the closed-form premium, exact at alpha = 1. A Newton point
 outside the bracket the signs of g give, or an unusable slope, falls
-back to the secant through the last two iterates, then to the plain step
-x -> f(x); the damped plain step takes over after 50 iterations. Each
-price program starts its master from the active cuts of the previous
-one, valid inequalities of the new program, so it usually settles in one
-least-distance solve.
+back to the plain step x -> f(x), damped after 50 iterations. A new
+iterate is first reached without a price program: lambda and the cut
+multipliers are carried to it along the last active set (the homotopy of
+parametric active-set QP; Ferreau et al., Math. Prog. Comp. 2014), and
+the point is verified when they stay nonnegative, the cutting-plane stop
+rule holds, g passes the tolerance and the KKT certificate its gate.
+Otherwise a program runs there, its master started from the active cuts
+of the previous one, valid inequalities of the new program, so it
+usually settles in one solve.
 
 The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
 holds exactly when w.c <= 0 for every vertex w of the risk envelope
@@ -195,10 +199,13 @@ class CvarSolution:
     alpha: float
     active_cuts: np.ndarray      # (k, S) risk-envelope vertices with y > 0
     price_slope: np.ndarray      # (T,) d lambda / d x_hat on that active set
+    cut_multipliers: np.ndarray  # (k,) their multipliers y
+    multiplier_slope: np.ndarray  # (k,) d y / d x_hat on that active set
 
     def __post_init__(self):
         for name in ("charging_price", "zeta", "varphi", "mu", "beta",
-                     "tilted_weights", "active_cuts", "price_slope"):
+                     "tilted_weights", "active_cuts", "price_slope",
+                     "cut_multipliers", "multiplier_slope"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         for name in ("zeta", "varphi", "mu", "beta"):
@@ -227,8 +234,8 @@ class PremiumQuote:
     charging_price: np.ndarray   # (T,) cents/kWh
     bound_mode: str
     alpha: float
-    trace: tuple                 # fixed-point residuals per iteration
-    iterations: int
+    trace: tuple                 # fixed-point residual per evaluated premium
+    iterations: int              # price programs solved
     solution: CvarSolution
     kkt_max_residual: float
     total_demand: float          # sum_t D_t, kWh
@@ -349,9 +356,10 @@ def _least_distance(g, h, dh):
     Lawson & Hanson's least-distance reduction: with r = E u - e_last,
     x = -r[:n] / r[n] = g^T u / (1 - h.u). The right-hand side is scaled
     to unit size first, which scales x alike. One exact solve on the rows
-    with positive multipliers then polishes the point. Returns (x, y, dx)
-    with 2 x = g^T y, y >= 0 and dx the derivative of x as h moves along
-    dh on that active set, read from the same QR (NaN when unpolished).
+    with positive multipliers then polishes the point. Returns (x, y, dx,
+    dy) with 2 x = g^T y, y >= 0 and dx, dy the derivatives of x and y as
+    h moves along dh on that active set, read from the same QR (NaN when
+    unpolished; dy also when a polished multiplier is not positive).
     """
     scale = float(np.abs(h).max(initial=0.0)) or 1.0
     hs = h / scale
@@ -368,7 +376,7 @@ def _least_distance(g, h, dh):
     y = u * (2.0 * scale / den)
     x = 0.5 * (g.T @ y)
 
-    dx = np.full(x.size, np.nan)
+    dx, dy = np.full(x.size, np.nan), np.full(h.size, np.nan)
     active = np.flatnonzero(u > 0.0)
     if 0 < active.size <= g.shape[1]:
         q, r = np.linalg.qr(g[active].T)
@@ -376,15 +384,18 @@ def _least_distance(g, h, dh):
             z = np.linalg.solve(r.T, h[active])
             ya = 2.0 * np.linalg.solve(r, z)
         except np.linalg.LinAlgError:
-            return x, y, dx
+            return x, y, dx, dy
         xp = q @ z
         size = 1.0 + float(np.abs(y).max())
         if (ya.min() >= -1e-9 * size
                 and float(np.min(g @ xp - h)) >= -1e-9 * scale):
             y = np.zeros(h.size)
             y[active] = np.maximum(ya, 0.0)
-            x, dx = xp, q @ np.linalg.solve(r.T, dh[active])
-    return x, y, dx
+            zd = np.linalg.solve(r.T, dh[active])
+            x, dx = xp, q @ zd
+            if ya.min() > 0.0:
+                dy[active] = 2.0 * np.linalg.solve(r, zd)
+    return x, y, dx, dy
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
@@ -436,7 +447,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     cuts, rows, rhs, drhs = [], [], [], []
     keys = set()
     lam, dlam = np.zeros(n_hour), np.zeros(n_hour)
-    y = np.zeros(0)
+    y = dy = np.zeros(0)
     fresh = seeds
     for _ in range(_MAX_CUT_ROUNDS):
         for w in fresh:
@@ -447,8 +458,8 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
                 rhs.append(float(w @ a) / d_ref)
                 drhs.append(float(w @ energy) / d_ref)
         if len(fresh):
-            lam, y, dlam = _least_distance(np.vstack(rows), np.array(rhs),
-                                           np.array(drhs))
+            lam, y, dlam, dy = _least_distance(
+                np.vstack(rows), np.array(rhs), np.array(drhs))
         costs = a - m * (d @ lam)
         w, last = _tail_vertex(costs, phi, alpha)
         # A repeated vertex is satisfied up to rounding by the master's
@@ -460,24 +471,52 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
         raise RiskError(
             f"price program cutting planes did not settle in "
             f"{_MAX_CUT_ROUNDS} rounds")
+    return _solution(days, alpha, m, costs, w, last, lam, dlam,
+                     np.array(cuts).reshape(-1, n_day), y / d_ref,
+                     dy / d_ref)
 
-    cut_matrix = np.array(cuts).reshape(-1, n_day)
-    varphi = (y / d_ref) @ cut_matrix
+
+def _solution(days, alpha, m, costs, w, last, lam, dlam, cuts, y, dy):
+    """CvarSolution at prices lam with day costs costs, tail vertex w
+    (filled by day last) and multipliers y >= 0 of the rows of cuts."""
+    phi = days.likelihood
+    varphi = y @ cuts
     eta = float(varphi.sum())
     mu = np.maximum(eta * phi - alpha * varphi, 0.0)
-    beta = np.maximum(2.0 * lam - m * (varphi @ d), 0.0)
+    beta = np.maximum(2.0 * lam - m * (varphi @ days.demand_kw), 0.0)
     if alpha == 0.0:
         v = min(float(costs.max()), 0.0)
-        zeta = np.zeros(n_day)
+        zeta = np.zeros(costs.size)
     else:
         v = float(costs[last])
         zeta = np.maximum(costs - v, 0.0) / alpha
     tilted = varphi / eta if eta > 1e-12 else phi.copy()
+    keep = y > 0.0
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
                         varphi=varphi, mu=mu, beta=beta,
                         cvar_value=float(w @ costs), tilted_weights=tilted,
-                        alpha=alpha, active_cuts=cut_matrix[y > 0.0],
-                        price_slope=dlam)
+                        alpha=alpha, active_cuts=cuts[keep],
+                        price_slope=dlam, cut_multipliers=y[keep],
+                        multiplier_slope=dy[keep])
+
+
+def _along_active_set(sol, step, days, x_hat, config, tariff):
+    """sol moved by step along its active set to x_hat: the CvarSolution
+    there if it is optimal (prices and cut multipliers nonnegative, and
+    the tail vertex an active cut or not violated), else None."""
+    lam = sol.charging_price + step * sol.price_slope
+    y = sol.cut_multipliers + step * sol.multiplier_slope
+    if not (lam.min(initial=0.0) >= 0.0 and y.min(initial=0.0) >= 0.0):
+        return None
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    costs = a - m * (days.demand_kw @ lam)
+    w, last = _tail_vertex(costs, days.likelihood, config.alpha)
+    if float(w @ costs) > 0.0 and not np.any(
+            np.all(sol.active_cuts == w, axis=1)):
+        return None
+    return _solution(days, config.alpha, m, costs, w, last, lam,
+                     sol.price_slope, sol.active_cuts, y,
+                     sol.multiplier_slope)
 
 
 @dataclass(frozen=True)
@@ -510,46 +549,48 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
     d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
     lam, zeta, varphi = solution.charging_price, solution.zeta, solution.varphi
     v, eta, mu, beta = solution.v, solution.eta, solution.mu, solution.beta
+    # scalar families in Python floats: numpy's IEEE results, less overhead
+    phi_sum, mu_sum = float(varphi.sum()), float(mu.sum())
 
     ctilde = a - m * (d @ lam)
-    cvar_slack = v + phi @ zeta                  # <= 0
+    cvar_slack = v + float(phi @ zeta)           # <= 0
     day_slack = ctilde - v - alpha * zeta        # <= 0
 
     fam = {}
-    fam["primal_cvar"] = _rel(max(0.0, cvar_slack),
-                              abs(v) + float(np.abs(phi * zeta).sum()))
+    fam["primal_cvar"] = max(0.0, cvar_slack) / (
+        1.0 + (abs(v) + float(np.abs(phi * zeta).sum())))
     fam["primal_scenario"] = _rel(np.maximum(day_slack, 0.0),
                                   np.abs(ctilde) + abs(v) + alpha * zeta)
-    fam["primal_nonneg"] = max(
-        _rel(max(0.0, float(-zeta.min(initial=0.0))), 0.0),
-        _rel(max(0.0, float(-lam.min(initial=0.0))), 0.0))
-    fam["dual_nonneg"] = _rel(
-        max(0.0, -eta, float(-varphi.min(initial=0.0)),
-            float(-mu.min(initial=0.0)), float(-beta.min(initial=0.0))), 0.0)
-    fam["comp_cvar"] = _rel(abs(eta * cvar_slack), eta + abs(cvar_slack))
+    fam["primal_nonneg"] = max(0.0, float(-zeta.min(initial=0.0)),
+                               float(-lam.min(initial=0.0)))
+    fam["dual_nonneg"] = max(
+        0.0, -eta, float(-varphi.min(initial=0.0)),
+        float(-mu.min(initial=0.0)), float(-beta.min(initial=0.0)))
+    fam["comp_cvar"] = abs(eta * cvar_slack) / (
+        1.0 + (eta + abs(cvar_slack)))
     fam["comp_scenario"] = _rel(np.abs(varphi * day_slack),
                                 varphi + np.abs(day_slack))
     fam["comp_zeta"] = _rel(np.abs(mu * zeta), mu + zeta)
     fam["comp_lambda"] = _rel(np.abs(beta * lam), beta + lam)
     fam["stat_zeta"] = _rel(np.abs(eta * phi - alpha * varphi - mu),
                             eta * phi + alpha * varphi + mu)
-    fam["stat_eta"] = _rel(abs(eta - varphi.sum()), eta + varphi.sum())
+    fam["stat_eta"] = abs(eta - phi_sum) / (1.0 + (eta + phi_sum))
     weighted = m * (varphi @ d)
     fam["stat_lambda"] = _rel(np.abs(2.0 * lam - weighted - beta),
                               2.0 * np.abs(lam) + np.abs(weighted) + beta)
-    fam["identity_19"] = _rel(
-        abs((1.0 - alpha) * varphi.sum() - mu.sum()),
-        varphi.sum() + mu.sum())
+    fam["identity_19"] = abs((1.0 - alpha) * phi_sum - mu_sum) / (
+        1.0 + (phi_sum + mu_sum))
     return KktReport(fam)
 
 
 _FP_TOL = 1e-12
+_KKT_GATE = 1e-6
 
 
 def _certified(solution, days, x_hat, config, tariff):
     """kkt_report's worst residual; RiskError above the 1e-6 gate."""
     worst = kkt_report(solution, days, x_hat, config, tariff).max_residual
-    if worst > 1e-6:
+    if worst > _KKT_GATE:
         raise RiskError(f"optimality certificate failed: max scaled "
                         f"residual {worst:g}")
     return worst
@@ -562,9 +603,11 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
     rev is the likelihood-weighted charging revenue at the station's
     prices. Safeguarded Newton steps from x_start, by default the
     closed-form premium (see the module docstring), run until
-    |f(x) - x| <= 1e-12 (1 + |x|); the quote at that x carries the
-    residual of every iteration as its trace and the KKT certificate of
-    its price program. FixedPointError after max_iters iterations.
+    |f(x) - x| <= 1e-12 (1 + |x|). The quote's trace holds the residual
+    of each premium evaluated and iterations the price programs solved,
+    so len(trace) - iterations points were verified along an active set;
+    it carries the KKT certificate of its final solution.
+    FixedPointError after max_iters evaluations.
     """
     policy = config.resolved_policy()
     c_comp = composite_C(policy)
@@ -583,43 +626,51 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
     if x < 0:
         raise RiskError(f"x_start must be nonnegative, got {x_start}")
 
+    def gap(point):
+        return c_comp * float(days.likelihood @ (days.demand_kw
+                                                 @ point.charging_price)) - x
+
     lo, hi = 0.0, np.inf
     trace = []
-    sol = prev = None
+    sol = x_sol = None
+    programs = 0
     for k in range(max_iters):
-        sol = solve_risk_averse_evcs(
-            days, x / total, config, tariff,
-            seed_cuts=None if sol is None else sol.active_cuts)
-        g = c_comp * float(days.likelihood @ (days.demand_kw
-                                              @ sol.charging_price)) - x
+        tol = _FP_TOL * (1.0 + abs(x))
+        point = None if sol is None else _along_active_set(
+            sol, x / total - x_sol / total, days, x / total, config, tariff)
+        # a verified point must also pass the gate, or its program runs
+        worst = None if point is None or not abs(gap(point)) <= tol else \
+            kkt_report(point, days, x / total, config, tariff).max_residual
+        if worst is None or worst > _KKT_GATE:
+            point = sol = solve_risk_averse_evcs(
+                days, x / total, config, tariff,
+                seed_cuts=None if sol is None else sol.active_cuts)
+            x_sol, worst = x, None
+            programs += 1
+        g = gap(point)
         trace.append(abs(g))
-        if abs(g) <= _FP_TOL * (1.0 + abs(x)):
+        if abs(g) <= tol:
             break
         if g > 0.0:
             lo = max(lo, x)
         else:
             hi = min(hi, x)
-        x_next = x + (g if k < 50 else 0.5 * g)
-        if k < 50:
-            s = c_comp * float(days.likelihood @ (
-                days.demand_kw @ sol.price_slope)) / total
-            steps = [x + g / (1.0 - s)] if s < 1.0 else []
-            if prev is not None and g != prev[1]:
-                steps.append(x - g * (x - prev[0]) / (g - prev[1]))
-            x_next = next((t for t in steps if lo < t < hi), x_next)
-        prev = (x, g)
-        x = x_next
+        s = c_comp * float(days.likelihood @ (
+            days.demand_kw @ sol.price_slope)) / total
+        newton = x + g / (1.0 - s) if k < 50 and s < 1.0 else np.nan
+        x = newton if lo < newton < hi else x + (g if k < 50 else 0.5 * g)
     else:
         raise FixedPointError(
             f"premium fixed point did not converge in {max_iters} "
             f"iterations (last residual {trace[-1]:g})", trace)
 
+    if worst is None:
+        worst = _certified(point, days, x / total, config, tariff)
     return PremiumQuote(
-        premium=x, per_kwh=x / total, charging_price=sol.charging_price,
+        premium=x, per_kwh=x / total, charging_price=point.charging_price,
         bound_mode=config.bound_mode, alpha=config.alpha,
-        trace=tuple(trace), iterations=len(trace), solution=sol,
-        kkt_max_residual=_certified(sol, days, x / total, config, tariff),
-        total_demand=total)
+        trace=tuple(trace), iterations=programs, solution=point,
+        kkt_max_residual=worst, total_demand=total)
 
 
 def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio
 from .analytic import closed_form_premium, sensitivity_sweep
-from .cvar import robust_premium_bilevel
+from .cvar import BOUND_MODES, robust_premium_bilevel
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     published_reference_notes, reference_smp_model, typical_days
@@ -65,6 +65,12 @@ class CaseConfig:
             if not (np.isfinite(scale) and scale > 0):
                 raise CaseError("config", "demand scales must be finite and "
                                           f"positive, got {scale!r}")
+        if not all(0.0 <= alpha <= 1.0 for alpha in self.alphas):
+            raise CaseError("config", "alphas must be in [0, 1], got "
+                                      f"{self.alphas!r}")
+        if not set(self.bounds) <= set(BOUND_MODES):
+            raise CaseError("config", f"bounds must be among {BOUND_MODES}, "
+                                      f"got {self.bounds!r}")
         for name in ("network_path", "days_path", "transitions_path",
                      "policy_path", "policy_box_path"):
             path = getattr(self, name)

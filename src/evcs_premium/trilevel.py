@@ -178,10 +178,12 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig):
     premium + |price|^2 bound the optimum from below (subproblem) and
     above (principal). On this model they meet in round 1 whatever the
     data: the grid level only passes the tariff up, so both solve the same
-    price program at the same premium. CCG needs more rounds only when the
-    recourse is coupled to the first-stage decision (Zeng & Zhao, Oper.
-    Res. Lett. 2013); here a relative gap above CCG_TOL means that
-    argument broke, and raises TrilevelError instead of iterating.
+    price program at the same premium, and the subproblem's program
+    rechecks a principal that ended on a verified Newton point. CCG needs
+    more rounds only when the recourse is coupled to the first-stage
+    decision (Zeng & Zhao, Oper. Res. Lett. 2013); here a relative gap
+    above CCG_TOL means that argument broke, and raises TrilevelError
+    instead of iterating.
     """
     results, tariff, gaps = _grid_blocks(network, days)
     principal = premium_fixed_point(days, config, tariff)

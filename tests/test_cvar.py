@@ -1,6 +1,9 @@
 """Risk-averse price program: CVaR oracles, duals, fixed point."""
 
 import dataclasses
+import importlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -274,16 +277,82 @@ def test_fixed_point_settles_in_few_iterations(grid_tariff):
     assert np.mean(counts) <= 2.2
 
 
-def test_fixture_quotes_take_at_most_two_programs(grid_tariff,
-                                                   monkeypatch):
+def test_fixture_quotes_take_one_program(grid_tariff, monkeypatch):
     """The closed-form start is exact at alpha = 1; elsewhere one Newton
-    step from it lands on the root and a second program confirms it."""
+    step from it lands on the root, verified along the first program's
+    active set without a second program."""
     calls = _count_programs(monkeypatch)
     for days, config, tariff in _fixture_cells(grid_tariff):
         calls.clear()
         quote = robust_premium_bilevel(days, config, tariff)
-        assert len(calls) == quote.iterations
-        assert len(calls) <= (1 if config.alpha == 1.0 else 2)
+        assert len(calls) == quote.iterations == 1
+        assert len(quote.trace) == (1 if config.alpha == 1.0 else 2)
+
+
+@pytest.fixture
+def workload_request(monkeypatch):
+    """(seed, i) -> the i-th request of the benchmark's quote workload
+    (perfbench/workloads.py) at that seed."""
+    import evcs_premium
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+    return lambda seed, i: workloads.Quote(evcs_premium, seed, None).make(i)
+
+
+def test_workload_quotes_take_about_one_program(workload_request,
+                                                monkeypatch):
+    """Almost every Newton point is verified without a second program."""
+    calls = _count_programs(monkeypatch)
+    for i in range(96):
+        quote = robust_premium_bilevel(*workload_request(1, i))
+        assert quote.kkt_max_residual <= 1e-6
+    assert len(calls) <= 1.05 * 96
+
+
+@pytest.mark.parametrize("op, premium", [
+    (1583, "0x1.708a1078b8e4ep+8"),  # alpha 0.2208
+    (4057, "0x1.b1b4ba44285e2p+15"),  # alpha 0.5
+])
+def test_negative_cut_multiplier_takes_the_program(workload_request, op,
+                                                   premium):
+    """Carried to the first Newton point, these quotes keep varphi >= 0
+    but drive a cut multiplier negative, so the point is not optimal there:
+    a program runs at it, and the premium is the one that solving a
+    program at every iterate gives."""
+    quote = robust_premium_bilevel(*workload_request(1, op))
+    assert quote.premium == float.fromhex(premium)
+    assert quote.iterations == 2 and len(quote.trace) == 3
+    assert quote.kkt_max_residual <= 1e-6
+
+
+def test_verified_point_missing_the_gate_takes_the_program(
+        workload_request, monkeypatch):
+    """At about 1e5 kW the Newton point carried along the active set is
+    optimal but its certificate reads primal_scenario 1.9e-6 from rounding
+    in the day costs; the program runs there instead and certifies at
+    5e-13, with the premium of a program at every iterate."""
+    days, config, tariff = workload_request(77, 498)
+    days = TypicalDaySet(days.likelihood, days.demand_kw
+                         * float.fromhex("0x1.252cf0effacf8p+12"))
+    residuals = []
+    report = cvar.kkt_report
+
+    def recorded(*args):
+        rep = report(*args)
+        residuals.append(rep.max_residual)
+        return rep
+
+    monkeypatch.setattr(cvar, "kkt_report", recorded)
+    quote = robust_premium_bilevel(days, config, tariff)
+    assert residuals[0] > 1e-6 and residuals[-1] == quote.kkt_max_residual
+    assert quote.kkt_max_residual <= 1e-6
+    assert quote.iterations == 2 and len(quote.trace) == 2
+    assert quote.premium == float.fromhex("0x1.32e4e4f619e85p+30")
 
 
 def test_price_slope_matches_forward_difference(grid_tariff):
@@ -676,20 +745,27 @@ def _drawn_program(alpha, rng):
             _point_config(policy, alpha), tariff)
 
 
-@pytest.mark.parametrize("alpha, seed", [
-    (1.0 - 1e-9, 1753),  # a non-binding point 4.4e-4 off, called optimal
-    (0.0, 400),  # zero-demand days: 1.8e-7 off, called optimal
-    (0.0, 1330),  # 7.0e-7 off, called optimal
-    (1e-9, 401),  # a zero-demand day: status "numerical"
+@pytest.mark.parametrize("alpha, seed, status", [
+    (1.0 - 1e-9, 1753, "optimal"),  # a non-binding point 4.4e-4 off
+    (0.0, 400, "optimal"),  # zero-demand days: 1.8e-7 off
+    (0.0, 1330, "optimal"),  # 7.0e-7 off
+    (1e-9, 401, "optimal"),  # a zero-demand day: it said "numerical"
+    # HiGHS fails on a well-posed program: loud, never a wrong optimum
+    ("uniform", 8907, "numerical"),
 ])
-def test_reference_qp_regressions(alpha, seed):
-    """Programs the former dense interior-point reference got wrong."""
+def test_reference_qp_regressions(alpha, seed, status):
+    """Programs the former dense interior-point reference got wrong (the
+    first three it called optimal), and one the HiGHS reference reports
+    as "numerical"; the cutting planes certify every one of them."""
     days, x_hat, config, tariff = _drawn_program(
         alpha, np.random.default_rng([77, seed]))
-    status, ref, _ = _reference_prices(days, x_hat, config, tariff)
-    assert status == "optimal"
-    lam = solve_risk_averse_evcs(days, x_hat, config, tariff).charging_price
-    assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
+    got, ref, _ = _reference_prices(days, x_hat, config, tariff)
+    assert got == status
+    sol = solve_risk_averse_evcs(days, x_hat, config, tariff)
+    assert kkt_report(sol, days, x_hat, config, tariff).max_residual <= 1e-6
+    if status == "optimal":
+        lam = sol.charging_price
+        assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
 
 @given(_price_programs(), st.floats(0.0, 3.0))

@@ -309,10 +309,14 @@ def test_case_config_validation(tmp_path):
     (dict(scales=(1, np.inf)), "scales must be finite and positive"),
     (dict(scales=(1, -5)), "scales must be finite and positive"),
     (dict(scales=(0, 1)), "scales must be finite and positive"),
+    (dict(alphas=(np.nan,)), r"alphas must be in \[0, 1\]"),
+    (dict(alphas=(1.5,)), r"alphas must be in \[0, 1\]"),
+    (dict(bounds=("middle",)), "bounds must be among"),
 ])
 def test_case_config_rejects_bad_numbers(tmp_path, bad, match):
     # before any stage runs: a NaN epsilon used to reach smp.json as a
-    # bare NaN, and a bad scale to fail only at stage 'trilevel'
+    # bare NaN, a bad scale to fail only at stage 'trilevel', and a bad
+    # alpha or bound name only at stage 'robust'
     with pytest.raises(CaseError, match=match) as info:
         CaseConfig(out_dir=str(tmp_path / "case"), **bad)
     assert info.value.stage == "config"
