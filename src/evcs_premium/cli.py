@@ -22,7 +22,8 @@ from .dcopf import HOURS, evcs_tariff_cents, per_day_dlmps
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     reference_smp_model, typical_days
-from .pipeline import CaseConfig, ReportBundle, _quote_doc, run_case
+from .pipeline import CaseConfig, ReportBundle, _analytic_doc, _quote_doc, \
+    run_case
 from .smp import STATES, attack_probability, relative_box, run_chain
 from .trilevel import ccg_solve, demand_scaling_sweep, \
     solve_trilevel_direct
@@ -64,14 +65,12 @@ def _risk_from(args):
     return default_risk_config(alpha=args.alpha, bound_mode=args.bound)
 
 
-def _write_quote(out, quote, name="premium_quote", extra=None):
-    doc = _quote_doc(quote)
-    del doc["charging_price_cents_per_kwh"]  # written to lambda_c.csv
-    if extra:
-        doc.update(extra)
+def _write_doc(out, name, doc, label="charging price"):
+    """name.json from doc, whose charging prices go to lambda_c.csv."""
+    price = doc.pop("charging_price_cents_per_kwh")
     dataio._write_json(os.path.join(out, f"{name}.json"), doc)
-    dataio.write_charging_price(os.path.join(out, "lambda_c.csv"),
-                                quote.charging_price)
+    dataio.write_charging_price(os.path.join(out, "lambda_c.csv"), price,
+                                label)
     return doc
 
 
@@ -123,16 +122,8 @@ def _cmd_premium_analytic(args):
               else default_policy())
     solution = closed_form_premium(policy, days, tariff)
     os.makedirs(args.out, exist_ok=True)
-    doc = {
-        "premium_cents": solution.premium,
-        "per_kwh_cents": solution.per_kwh,
-        "omega": solution.omega,
-        "composite_c": solution.composite_c,
-    }
-    dataio._write_json(os.path.join(args.out, "analytic.json"), doc)
-    dataio.write_charging_price(os.path.join(args.out, "lambda_c.csv"),
-                                solution.charging_price,
-                                "closed-form charging price")
+    doc = _write_doc(args.out, "analytic", _analytic_doc(solution),
+                     "closed-form charging price")
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -144,7 +135,7 @@ def _cmd_premium_robust(args):
     config = _risk_from(args)
     quote = robust_premium_bilevel(days, config, tariff)
     os.makedirs(args.out, exist_ok=True)
-    doc = _write_quote(args.out, quote)
+    doc = _write_doc(args.out, "premium_quote", _quote_doc(quote))
     report_path = os.path.join(args.out, "kkt_report.txt")
     with open(report_path, "w") as fh:
         fh.write("# optimality residuals of the final price program "
@@ -172,8 +163,8 @@ def _cmd_premium_trilevel(args):
         extra["ccg_bounds"] = [
             {"iteration": s.iteration, "lower": s.lower_bound,
              "upper": s.upper_bound} for s in result.ccg_trace]
-    doc = _write_quote(args.out, result.quote, name="trilevel_quote",
-                       extra=extra)
+    doc = _write_doc(args.out, "trilevel_quote",
+                     {**_quote_doc(result.quote), **extra})
     dataio.write_tariff(os.path.join(args.out, "tariff.csv"),
                         result.tariff_cents, day_ids=days.day_ids)
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -335,12 +335,11 @@ def _day_tariff(days: TypicalDaySet, tariff):
     return tar
 
 
-def _cost_pieces(days, x_hat, policy, tariff):
-    """m and the lambda-free day costs a^s (cents)."""
+def _cost_pieces(days, x_hat, policy, tar):
+    """m and the lambda-free day costs a^s (cents) at tar, from _day_tariff."""
     gamma_p = policy.p_attack
     rho_c = policy.penalty_cents_per_kw()
     m = premium_multiplier_M(policy)
-    tar = _day_tariff(days, tariff)
     d = days.demand_kw
     a = ((1.0 - gamma_p) * np.sum(d * tar, axis=1)
          + (gamma_p * rho_c + x_hat) * d.sum(axis=1))
@@ -417,7 +416,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     if x_hat < 0:
         raise RiskError(f"x_hat must be nonnegative, got {x_hat}")
     policy = config.resolved_policy()
-    m, a = _cost_pieces(days, x_hat, policy, tariff)
+    m, a = _cost_pieces(days, x_hat, policy, _day_tariff(days, tariff))
     d = days.demand_kw
     phi = days.likelihood
     n_day, n_hour = d.shape
@@ -500,7 +499,7 @@ def _solution(days, alpha, m, costs, w, last, lam, dlam, cuts, y, dy):
                         multiplier_slope=dy[keep])
 
 
-def _along_active_set(sol, step, days, x_hat, config, tariff):
+def _along_active_set(sol, step, days, x_hat, config, tar):
     """sol moved by step along its active set to x_hat: the CvarSolution
     there if it is optimal (prices and cut multipliers nonnegative, and
     the tail vertex an active cut or not violated), else None."""
@@ -508,7 +507,7 @@ def _along_active_set(sol, step, days, x_hat, config, tariff):
     y = sol.cut_multipliers + step * sol.multiplier_slope
     if not (lam.min(initial=0.0) >= 0.0 and y.min(initial=0.0) >= 0.0):
         return None
-    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tar)
     costs = a - m * (days.demand_kw @ lam)
     w, last = _tail_vertex(costs, days.likelihood, config.alpha)
     if float(w @ costs) > 0.0 and not np.any(
@@ -545,7 +544,8 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
     """Evaluate every optimality condition family at a returned solution."""
     if solution.alpha != config.alpha:
         raise RiskError("solution and config disagree on alpha")
-    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(),
+                        _day_tariff(days, tariff))
     d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
     lam, zeta, varphi = solution.charging_price, solution.zeta, solution.varphi
     v, eta, mu, beta = solution.v, solution.eta, solution.mu, solution.beta
@@ -619,9 +619,9 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
             f"composite factor C={c_comp:g} at or above the demand "
             f"multiplier M={premium_multiplier_M(policy):g}; "
             "the premium recursion has no finite fixed point")
+    tar = _day_tariff(days, tariff)
     if x_start is None:
-        x_start = max(closed_form_premium(
-            policy, days, _day_tariff(days, tariff)).premium, 0.0)
+        x_start = max(closed_form_premium(policy, days, tar).premium, 0.0)
     x = float(x_start)
     if x < 0:
         raise RiskError(f"x_start must be nonnegative, got {x_start}")
@@ -637,7 +637,7 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
     for k in range(max_iters):
         tol = _FP_TOL * (1.0 + abs(x))
         point = None if sol is None else _along_active_set(
-            sol, x / total - x_sol / total, days, x / total, config, tariff)
+            sol, x / total - x_sol / total, days, x / total, config, tar)
         # a verified point must also pass the gate, or its program runs
         worst = None if point is None or not abs(gap(point)) <= tol else \
             kkt_report(point, days, x / total, config, tariff).max_residual

@@ -197,7 +197,7 @@ class Network:
             lower=lower, upper=upper,
             cost=np.array([g.cost_profile() for g in self.generators]
                           ).reshape(n_g, HOURS),
-            reactance=z)
+            reactance=z, gen_bus=gen_bus, line_from=frm, line_to=to)
 
 
 def _check_finite(values, what):
@@ -221,6 +221,9 @@ class HourBlock:
     upper: np.ndarray
     cost: np.ndarray        # (n_gen, 24) $/MWh
     reactance: np.ndarray   # (n_line,)
+    gen_bus: np.ndarray     # (n_gen,) bus index of each generator
+    line_from: np.ndarray   # (n_line,) bus index of each sending end
+    line_to: np.ndarray     # (n_line,) bus index of each receiving end
     _stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def lp(self, demand, cost):
@@ -370,28 +373,21 @@ class DualCheckReport:
 
 def dual_feasibility_check(result: DlmpResult, network: Network):
     """Evaluate the three dual stationarity families on a solved day."""
-    idx = network.bus_index()
-    r_gen = 0.0
-    for i, gen in enumerate(network.generators):
-        lam = result.dlmp[idx[gen.bus]]
-        costs = gen.cost_profile()
-        resid = result.alpha_up[i] - result.alpha_lo[i] - lam + costs
-        r_gen = max(r_gen, float(np.max(np.abs(resid))))
+    block, lam = network._hour_block, result.dlmp
+    gen = result.alpha_up - result.alpha_lo - lam[block.gen_bus] + block.cost
+    line = (result.xi + result.delta_up - result.delta_lo
+            + lam[block.line_from] - lam[block.line_to])
+    # xi/z out of the sending bus and into the receiving one, line by line
+    q = result.xi / block.reactance[:, None]
+    per_bus = np.zeros(lam.shape)
+    np.add.at(per_bus, np.column_stack([block.line_from, block.line_to]),
+              np.stack([q, -q], axis=1))
+    return DualCheckReport(*map(_max_abs, (gen, line, per_bus)))
 
-    r_line = 0.0
-    for li, ln in enumerate(network.lines):
-        resid = (result.xi[li] + result.delta_up[li] - result.delta_lo[li]
-                 + result.dlmp[idx[ln.from_bus]] - result.dlmp[idx[ln.to_bus]])
-        r_line = max(r_line, float(np.max(np.abs(resid))))
 
-    per_bus = np.zeros((len(network.buses), HOURS))
-    for li, ln in enumerate(network.lines):
-        per_bus[idx[ln.from_bus]] += result.xi[li] / ln.reactance
-        per_bus[idx[ln.to_bus]] -= result.xi[li] / ln.reactance
-    r_bus = float(np.max(np.abs(per_bus)))
-
-    return DualCheckReport(gen_cost_balance=r_gen, line_dual_balance=r_line,
-                           bus_dual_balance=r_bus)
+def _max_abs(values):
+    """Largest magnitude in values, 0.0 when empty."""
+    return float(np.abs(values).max(initial=0.0))
 
 
 def predetermined_tariff(network: Network, days):

@@ -109,6 +109,13 @@ def _quote_doc(quote):
     }
 
 
+def _analytic_doc(solution):
+    return {"premium_cents": solution.premium,
+            "per_kwh_cents": solution.per_kwh, "omega": solution.omega,
+            "composite_c": solution.composite_c,
+            "charging_price_cents_per_kwh": list(solution.charging_price)}
+
+
 def run_case(config: CaseConfig) -> ReportBundle:
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
@@ -195,14 +202,8 @@ def run_case(config: CaseConfig) -> ReportBundle:
         sensitivity = {axis: (grid, sensitivity_sweep(policy, axis, grid,
                                                       days, tariff))
                        for axis, grid in grids.items()}
-        dataio._write_json(path_for("analytic", "analytic.json"), {
-            "premium_cents": analytic.premium,
-            "per_kwh_cents": analytic.per_kwh,
-            "omega": analytic.omega,
-            "composite_c": analytic.composite_c,
-            "charging_price_cents_per_kwh":
-                list(analytic.charging_price),
-        })
+        dataio._write_json(path_for("analytic", "analytic.json"),
+                           _analytic_doc(analytic))
         dataio.write_charging_price(path_for("lambda_c", "lambda_c.csv"),
                                     analytic.charging_price,
                                     "closed-form charging price")

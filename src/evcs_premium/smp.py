@@ -10,11 +10,15 @@ transition matrix), its stationary vector, and time-weighting by expected
 sojourns.
 
 All functions are pure; quadrature tolerances and truncation points are fixed
-here so results are reproducible bit for bit.
+here, so reruns on the same inputs are byte-identical. quad evaluates its
+integrands one point at a time, so they use math.exp and float powers, not
+the vectorized pdf and survival, whose numpy overhead is twenty times the
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +126,27 @@ def weibull_survival(t, dist: WeibullDist):
     return np.exp(-((t / dist.scale) ** dist.shape))
 
 
-def _truncation_point(*dists):
-    """Upper integration limit: the 1-1e-9 quantile of the slowest transition."""
-    return max(d.quantile(1.0 - _TAIL_MASS) for d in dists)
+def _survival(t, dist):
+    """weibull_survival at one float t."""
+    try:
+        return math.exp(-((t / dist.scale) ** dist.shape))
+    except OverflowError:  # (t/scale)^shape beyond the float range
+        return 0.0
+
+
+def _pdf(t, dist):
+    """weibull_pdf at one float t > 0; 0.0 where the survival underflows."""
+    b, a = dist.shape, dist.scale
+    survival = _survival(t, dist)
+    return (b / a) * (t / a) ** (b - 1.0) * survival if survival else 0.0
+
+
+def _quad(integrand, *dists):
+    """quad over [0, t_max], t_max the 1-1e-9 quantile of the slowest of
+    dists, with the chain's fixed tolerances."""
+    t_max = max(d.quantile(1.0 - _TAIL_MASS) for d in dists)
+    return integrate.quad(integrand, 0.0, t_max, epsabs=_QUAD_ABSTOL,
+                          epsrel=1e-12, limit=400)
 
 
 def competing_transition_prob(winner: WeibullDist, survivor=None, *,
@@ -137,21 +159,14 @@ def competing_transition_prob(winner: WeibullDist, survivor=None, *,
     """
     if survivor is None:
         return (1.0, 0.0) if with_error else 1.0
-    t_max = _truncation_point(winner, survivor)
-
-    def integrand(t):
-        return weibull_survival(t, survivor) * weibull_pdf(t, winner)
-
-    value, err = integrate.quad(integrand, 0.0, t_max,
-                                epsabs=_QUAD_ABSTOL, epsrel=1e-12, limit=400)
-    err_total = err + _TAIL_MASS  # truncated tail bounded by its mass
+    value, err = _quad(lambda t: _survival(t, survivor) * _pdf(t, winner),
+                       winner, survivor)
     if err > 1e-6:
-        exc = SmpError(
+        raise SmpError(
             f"competing-transition quadrature did not converge, error {err:g}")
-        exc.error_estimate = err_total
-        raise exc
     value = min(max(value, 0.0), 1.0)
-    return (value, err_total) if with_error else value
+    # the truncated tail is bounded by its mass
+    return (value, err + _TAIL_MASS) if with_error else value
 
 
 def kernel_at_infinity(model: SmpModel):
@@ -216,13 +231,8 @@ def sojourn_times(model: SmpModel):
     t_f = model["FG"].mean()
 
     d_id, d_if = model["ID"], model["IF"]
-    t_max = _truncation_point(d_id, d_if)
-
-    def product_survival(t):
-        return weibull_survival(t, d_id) * weibull_survival(t, d_if)
-
-    t_i, err = integrate.quad(product_survival, 0.0, t_max,
-                              epsabs=_QUAD_ABSTOL, epsrel=1e-12, limit=400)
+    t_i, err = _quad(lambda t: _survival(t, d_id) * _survival(t, d_if),
+                     d_id, d_if)
     if err > 1e-6 * (1.0 + t_i):
         raise SmpError(f"sojourn quadrature did not converge, error {err:g}")
     out = np.array([t_g, t_i, t_d, t_c, t_f])
@@ -251,6 +261,9 @@ def attack_probability(p, t):
 
 def confidence_box(center, sigma, n, xi):
     """Student-t box: center -+ t_(1-xi/2, n-1) * sigma / sqrt(n)."""
+    if not np.all(np.isfinite((center, sigma, n, xi))):
+        raise SmpError("confidence box needs finite inputs, got center "
+                       f"{center!r}, sigma {sigma!r}, n {n!r}, xi {xi!r}")
     if not 0.0 < xi < 1.0:
         raise SmpError("xi must be in (0,1)")
     if n < 2:

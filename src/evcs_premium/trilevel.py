@@ -31,7 +31,7 @@ import numpy as np
 from .analytic import TypicalDaySet
 from .cvar import PremiumQuote, RiskConfig, RiskError, _certified, \
     premium_fixed_point, robust_premium_bilevel, solve_risk_averse_evcs
-from .dcopf import DcopfError, Network, dual_feasibility_check, \
+from .dcopf import DcopfError, Network, _max_abs, dual_feasibility_check, \
     evcs_tariff_cents, per_day_dlmps
 
 DUALITY_GATE = 1e-8
@@ -113,33 +113,26 @@ def single_level_residuals(network: Network, days: TypicalDaySet,
     the relative strong-duality gap. All families must sit within 1e-8
     for the composed point to stand in for the embedded grid blocks.
     """
-    idx = network.bus_index()
-    fam = {"balance": 0.0, "flow_angle": 0.0, "limits": 0.0,
-           "dual_stationarity": 0.0, "dual_sign": 0.0, "duality_gap": 0.0}
-    for s, res in enumerate(results):
-        fam["balance"] = max(fam["balance"], res.balance_residual)
-        for li, ln in enumerate(network.lines):
-            coupled = (ln.reactance * res.flows[li]
-                       - res.angles[idx[ln.from_bus]]
-                       + res.angles[idx[ln.to_bus]])
-            fam["flow_angle"] = max(fam["flow_angle"],
-                                    float(np.max(np.abs(coupled))))
-            over = np.abs(res.flows[li]) - ln.limit
-            fam["limits"] = max(fam["limits"], float(np.max(over)))
-        for gi, gen in enumerate(network.generators):
-            g = res.dispatch[gi]
-            fam["limits"] = max(fam["limits"],
-                                float(np.max(g - gen.capacity)),
-                                float(np.max(-g)))
-        report = dual_feasibility_check(res, network)
-        fam["dual_stationarity"] = max(fam["dual_stationarity"],
-                                       report.max_residual)
-        for block in (res.alpha_up, res.alpha_lo, res.delta_up,
-                      res.delta_lo):
-            fam["dual_sign"] = max(fam["dual_sign"],
-                                   float(np.max(-block, initial=0.0)))
-        gap = abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll))
-        fam["duality_gap"] = max(fam["duality_gap"], gap)
+    block = network._hour_block
+    n_g, n_b = len(network.generators), len(network.buses)
+    gcap, fcap = block.upper[:n_g, None], block.upper[n_g + n_b:, None]
+    fam = dict.fromkeys(("balance", "flow_angle", "limits",
+                         "dual_stationarity", "dual_sign", "duality_gap"), 0.0)
+    for res in results:
+        coupled = (block.reactance[:, None] * res.flows
+                   - res.angles[block.line_from] + res.angles[block.line_to])
+        over = (np.abs(res.flows) - fcap, res.dispatch - gcap, -res.dispatch)
+        signs = (res.alpha_up, res.alpha_lo, res.delta_up, res.delta_lo)
+        day = {
+            "balance": res.balance_residual,
+            "flow_angle": _max_abs(coupled),
+            "limits": max(float(v.max(initial=0.0)) for v in over),
+            "dual_stationarity":
+                dual_feasibility_check(res, network).max_residual,
+            "dual_sign": max(float((-v).max(initial=0.0)) for v in signs),
+            "duality_gap": abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll)),
+        }
+        fam = {name: max(fam[name], day[name]) for name in fam}
     return fam
 
 

@@ -29,6 +29,7 @@ from evcs_premium.cvar import (
     RiskInfeasibleError,
     cvar_sup,
     _cost_pieces,
+    _day_tariff,
     kkt_report,
     premium_fixed_point,
     robust_premium_bilevel,
@@ -470,7 +471,8 @@ def test_kkt_report_families(grid_tariff):
 
 def _kkt_loop_reference(solution, days, x_hat, config, tariff):
     """kkt_report's families computed one element at a time."""
-    m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tariff)
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(),
+                        _day_tariff(days, tariff))
     d, phi, alpha = days.demand_kw, days.likelihood, config.alpha
     lam, v, zeta = solution.charging_price, solution.v, solution.zeta
     eta, varphi = solution.eta, solution.varphi

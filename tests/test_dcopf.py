@@ -114,6 +114,65 @@ def test_dual_feasibility_fixture_and_perturbation():
     assert report.gen_cost_balance >= 0.9e-3
 
 
+def _dual_check_loop_reference(result, network):
+    """dual_feasibility_check's families, one generator and line at a
+    time: the check as it was written before it took array form."""
+    idx = network.bus_index()
+    r_gen = 0.0
+    for i, gen in enumerate(network.generators):
+        lam = result.dlmp[idx[gen.bus]]
+        costs = gen.cost_profile()
+        resid = result.alpha_up[i] - result.alpha_lo[i] - lam + costs
+        r_gen = max(r_gen, float(np.max(np.abs(resid))))
+
+    r_line = 0.0
+    for li, ln in enumerate(network.lines):
+        resid = (result.xi[li] + result.delta_up[li] - result.delta_lo[li]
+                 + result.dlmp[idx[ln.from_bus]] - result.dlmp[idx[ln.to_bus]])
+        r_line = max(r_line, float(np.max(np.abs(resid))))
+
+    per_bus = np.zeros((len(network.buses), 24))
+    for li, ln in enumerate(network.lines):
+        per_bus[idx[ln.from_bus]] += result.xi[li] / ln.reactance
+        per_bus[idx[ln.to_bus]] -= result.xi[li] / ln.reactance
+    r_bus = float(np.max(np.abs(per_bus)))
+    return dcopf.DualCheckReport(gen_cost_balance=r_gen,
+                                 line_dual_balance=r_line,
+                                 bus_dual_balance=r_bus)
+
+
+def test_dual_check_matches_loop_reference():
+    """Every family within 1e-15 of the day's largest price or flow, and
+    the same gate decision, on solved days and on days with broken duals."""
+    cases = [(manhattan7(), typical_days().scaled(scale))
+             for scale in (1, 100, 400, 800, 1000)]
+    rng = np.random.default_rng(4093)
+    for _ in range(8):
+        net = _random_network(rng, int(rng.integers(2, 16)))
+        cases.append((net, TypicalDaySet(np.ones(1), np.zeros((1, 24)),
+                                         day_ids=("d1",))))
+    tripped = 0
+    for net, days in cases:
+        for res in per_day_dlmps(net, days):
+            scale = max(np.abs(res.dlmp).max(), np.abs(res.flows).max())
+            # each broken copy moves one field, so each term of each
+            # family decides its family's value in some case
+            broken = [dataclasses.replace(res, **{name: getattr(res, name)
+                                                  + 1e-3})
+                      for name in ("dlmp", "alpha_lo", "xi", "delta_lo")]
+            for day in [res] + broken:
+                new = dual_feasibility_check(day, net)
+                ref = _dual_check_loop_reference(day, net)
+                for family in ("gen_cost_balance", "line_dual_balance",
+                               "bus_dual_balance"):
+                    assert abs(getattr(new, family) - getattr(ref, family)
+                               ) <= 1e-15 * scale, family
+                assert (new.max_residual <= 1e-7) == (
+                    ref.max_residual <= 1e-7)
+                tripped += new.max_residual > 1e-7
+    assert tripped >= 4 * len(cases)
+
+
 def test_random_networks_duality_and_dual_feasibility():
     rng = np.random.default_rng(1207)
     for _ in range(8):

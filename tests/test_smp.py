@@ -10,6 +10,7 @@ Weibull moment formula.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from evcs_premium import smp
@@ -145,6 +146,82 @@ class TestCompetingTransition:
         assert_allclose(smp.competing_transition_prob(d, d), 0.5, atol=1e-9)
 
 
+def _vectorized_quad(integrand, a, b):
+    """The chain's quadrature over an integrand built from the public
+    vectorized pdf and survival: the reference for its scalar integrands.
+    Returns quad's value and error estimate."""
+    t_max = max(d.quantile(1.0 - 1e-9) for d in (a, b))
+    return integrate.quad(integrand, 0.0, t_max, epsabs=1e-9, epsrel=1e-12,
+                          limit=400)
+
+
+def _vectorized_split(winner, survivor):
+    value, err = _vectorized_quad(
+        lambda t: smp.weibull_survival(t, survivor)
+        * smp.weibull_pdf(t, winner), winner, survivor)
+    return min(max(value, 0.0), 1.0), err
+
+
+def _vectorized_sojourn(a, b):
+    return _vectorized_quad(lambda t: smp.weibull_survival(t, a)
+                            * smp.weibull_survival(t, b), a, b)[0]
+
+
+class TestScalarIntegrands:
+    def test_reference_model_matches_vectorized(self):
+        model = reference_smp_model()
+        d_id, d_if = model["ID"], model["IF"]
+        k_id = smp.competing_transition_prob(d_id, d_if)
+        k_if = smp.competing_transition_prob(d_if, d_id)
+        assert abs(k_id - _vectorized_split(d_id, d_if)[0]) <= 1e-15
+        assert abs(k_if - _vectorized_split(d_if, d_id)[0]) <= 1e-15
+        t_i = smp.sojourn_times(model)[1]
+        assert abs(t_i - _vectorized_sojourn(d_id, d_if)) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_drawn_pairs_match_vectorized(self):
+        # Not bitwise: numpy's exp and libm's differ by an ulp at some
+        # points, and at shape < 0.42 that moves quad's subdivision.
+        # Some pairs of a sharp clock and a heavy-tailed one defeat the
+        # quadrature on the truncated range (no mass found, or no
+        # convergence); there the scalar path must fail the same way.
+        rng = np.random.default_rng(1212)
+        base = reference_smp_model().transitions
+        for _ in range(200):
+            a, b = (smp.WeibullDist(float(rng.uniform(0.3, 5.0)),
+                                    float(rng.uniform(0.5, 50.0)))
+                    for _ in range(2))
+            for winner, survivor in ((a, b), (b, a)):
+                reference, reference_err = _vectorized_split(winner, survivor)
+                if reference_err > 1e-6:
+                    with pytest.raises(smp.SmpError, match="converge"):
+                        smp.competing_transition_prob(winner, survivor)
+                    continue
+                value, err = smp.competing_transition_prob(
+                    winner, survivor, with_error=True)
+                diff = abs(value - reference)
+                assert diff <= 1e-11 and diff < err, (winner, survivor)
+            reference = _vectorized_sojourn(a, b)
+            model = smp.SmpModel({**base, "ID": a, "IF": b})
+            if reference > 0.0:
+                t_i = smp.sojourn_times(model)[1]
+                assert abs(t_i - reference) <= 1e-11, (a, b)
+            else:
+                with pytest.raises(smp.SmpError, match="positive"):
+                    smp.sojourn_times(model)
+
+    def test_overflow_reads_as_the_limit(self):
+        # (t/scale)^shape leaves the float range inside [0, t_max]: math's
+        # power raises there, numpy's reads inf and so exp(-inf) = 0
+        sharp = smp.WeibullDist(shape=200.0, scale=10.0)
+        assert smp._survival(1e3, sharp) == smp._pdf(1e3, sharp) == 0.0
+        model = smp.SmpModel({**reference_smp_model().transitions,
+                              "ID": sharp, "IF": smp.WeibullDist(1.0, 30.0)})
+        with np.errstate(over="ignore"):
+            reference = _vectorized_sojourn(model["ID"], model["IF"])
+        assert abs(smp.sojourn_times(model)[1] - reference) <= 1e-11
+
+
 class TestKernel:
     def test_structure_and_row_sums(self):
         k = smp.kernel_at_infinity(reference_smp_model())
@@ -275,6 +352,15 @@ class TestConfidenceBox:
     def test_relative_box_rejects_non_finite(self, center, eps):
         with pytest.raises(smp.SmpError, match="finite center and epsilon"):
             smp.relative_box(center, eps)
+
+    @pytest.mark.parametrize("center, sigma, n, xi", [
+        (np.nan, 1.0, 10, 0.05), (np.inf, 1.0, 10, 0.05),
+        (0.5, np.nan, 10, 0.05), (0.5, np.inf, 10, 0.05),
+        (0.5, 1.0, np.nan, 0.05), (0.5, 1.0, np.inf, 0.05),
+        (0.5, 1.0, 10, np.nan)])
+    def test_confidence_box_rejects_non_finite(self, center, sigma, n, xi):
+        with pytest.raises(smp.SmpError, match="finite inputs"):
+            smp.confidence_box(center, sigma, n, xi)
 
     def test_student_t_quantiles(self):
         # df=1, 95%: t = 12.7062047364; large df approaches the normal 1.959964

@@ -1,6 +1,9 @@
 """Tri-level premium: direct oracle, the CCG round, scaling sweep."""
 
 import dataclasses
+import importlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from evcs_premium import trilevel
 from evcs_premium.cvar import robust_premium_bilevel
-from evcs_premium.dcopf import Generator, Network, per_day_dlmps
+from evcs_premium.dcopf import Generator, Network, dual_feasibility_check, \
+    per_day_dlmps
 from evcs_premium.fixtures import (
     default_risk_config,
     manhattan7,
@@ -107,6 +111,91 @@ def test_grid_residual_families():
                        "dual_stationarity", "dual_sign", "duality_gap"}
     for family, value in res.items():
         assert value <= 1e-8, family
+
+
+def _single_level_loop_reference(network, days, results):
+    """single_level_residuals one day, line and generator at a time: the
+    check as it was written before it took array form."""
+    idx = network.bus_index()
+    fam = {"balance": 0.0, "flow_angle": 0.0, "limits": 0.0,
+           "dual_stationarity": 0.0, "dual_sign": 0.0, "duality_gap": 0.0}
+    for s, res in enumerate(results):
+        fam["balance"] = max(fam["balance"], res.balance_residual)
+        for li, ln in enumerate(network.lines):
+            coupled = (ln.reactance * res.flows[li]
+                       - res.angles[idx[ln.from_bus]]
+                       + res.angles[idx[ln.to_bus]])
+            fam["flow_angle"] = max(fam["flow_angle"],
+                                    float(np.max(np.abs(coupled))))
+            over = np.abs(res.flows[li]) - ln.limit
+            fam["limits"] = max(fam["limits"], float(np.max(over)))
+        for gi, gen in enumerate(network.generators):
+            g = res.dispatch[gi]
+            fam["limits"] = max(fam["limits"],
+                                float(np.max(g - gen.capacity)),
+                                float(np.max(-g)))
+        report = dual_feasibility_check(res, network)
+        fam["dual_stationarity"] = max(fam["dual_stationarity"],
+                                       report.max_residual)
+        for block in (res.alpha_up, res.alpha_lo, res.delta_up,
+                      res.delta_lo):
+            fam["dual_sign"] = max(fam["dual_sign"],
+                                   float(np.max(-block, initial=0.0)))
+        gap = abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll))
+        fam["duality_gap"] = max(fam["duality_gap"], gap)
+    return fam
+
+
+@pytest.fixture
+def grid_feeders(monkeypatch):
+    """The servable feeders among the first n requests of the benchmark's
+    grid workload (perfbench/workloads.py) at seed 1."""
+    import evcs_premium
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+    grid = workloads.Grid(evcs_premium, 1, None)
+    return lambda n: [(net, days) for net, days, expect in map(
+        grid.make, range(n)) if expect is None]
+
+
+def test_grid_residuals_match_loop_reference(grid_feeders):
+    """Every family within 1e-15 of the largest price or flow, and the
+    same gate decisions, on solved days and on broken copies of them."""
+    cases = [(manhattan7(), typical_days().scaled(scale))
+             for scale in (1, 100, 400, 800, 1000)] + grid_feeders(30)
+    gate = trilevel.DUALITY_GATE
+    for net, days in cases:
+        results = per_day_dlmps(net, days)
+        scale = max(max(np.abs(r.dlmp).max(), np.abs(r.flows).max())
+                    for r in results)
+        big = 2.0 * max(g.capacity for g in net.generators) + 1.0
+        limits = np.array([ln.limit for ln in net.lines])[:, None]
+        ramp = 1e-3 * np.arange(len(net.buses))[:, None]
+        # each broken copy moves one field, so each term of each family
+        # decides its family's value in some case
+        broken = [("flows", lambda r: r.flows + 2.0 * limits),
+                  ("angles", lambda r: r.angles + ramp),
+                  ("dispatch", lambda r: np.full_like(r.dispatch, big)),
+                  ("dispatch", lambda r: r.dispatch - r.dispatch.max() - 1.0)]
+        broken += [(name, lambda r, name=name: getattr(r, name) - 1e-3)
+                   for name in ("alpha_up", "alpha_lo", "delta_up",
+                                "delta_lo")]
+        for change in [None] + broken:
+            composed = results if change is None else [
+                dataclasses.replace(r, **{change[0]: change[1](r)})
+                for r in results]
+            new = single_level_residuals(net, days, composed)
+            ref = _single_level_loop_reference(net, days, composed)
+            assert new.keys() == ref.keys()
+            for family in ref:
+                assert abs(new[family] - ref[family]) <= 1e-15 * scale, family
+                assert (new[family] <= gate) == (ref[family] <= gate), family
+            assert (max(new.values()) > gate) == (change is not None)
 
 
 def test_trilevel_quote_exposes_grid_blocks():
