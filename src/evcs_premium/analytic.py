@@ -181,17 +181,27 @@ def premium_multiplier_M(policy: PolicyFactors):
 
 
 def _tariff_revenue(days: TypicalDaySet, tariff):
-    """R_u = sum_s phi^s sum_t d_t^s lam_u_t^s, tariff (T,) or (S, T) c/kWh."""
+    """R_u = sum_s phi^s sum_t d_t^s lam_u_t^s, tariff (T,) or (S, T) c/kWh.
+
+    Every demand-weighted price (tariff or charging price) passes here, so
+    a non-finite entry raises, named by day and hour, before any premium."""
     lam_u = np.asarray(tariff, dtype=float)
-    if lam_u.ndim == 1:
-        if lam_u.size != days.n_hours:
-            raise AnalyticError(
-                f"tariff has {lam_u.size} hours, demand has {days.n_hours}")
-        return float(days.weighted_demand @ lam_u)
-    if lam_u.shape != (days.n_days, days.n_hours):
+    if lam_u.ndim == 1 and lam_u.size != days.n_hours:
+        raise AnalyticError(
+            f"tariff has {lam_u.size} hours, demand has {days.n_hours}")
+    if lam_u.ndim != 1 and lam_u.shape != (days.n_days, days.n_hours):
         raise AnalyticError(
             f"per-day tariff shape {lam_u.shape} does not match "
             f"({days.n_days}, {days.n_hours})")
+    table = np.atleast_2d(lam_u)
+    finite = np.isfinite(table)
+    if not finite.all():
+        s, t = np.argwhere(~finite)[0]
+        day = "every day" if lam_u.ndim == 1 else f"day index {s}"
+        raise AnalyticError(f"prices must be finite: {day} hour {t + 1} is "
+                            f"{float(table[s, t])!r}")
+    if lam_u.ndim == 1:
+        return float(days.weighted_demand @ lam_u)
     return float(np.sum(days.likelihood[:, None] * days.demand_kw * lam_u))
 
 

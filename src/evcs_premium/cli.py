@@ -9,23 +9,19 @@ built-in synthetic fixtures so every subcommand runs out of the box.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import dataio
-from .analytic import closed_form_premium
-from .cvar import robust_premium_bilevel
-from .dcopf import HOURS, evcs_tariff_cents, per_day_dlmps
-from .fixtures import PUBLISHED_SOJOURN, default_policy, \
-    default_risk_config, manhattan7, published_embedded_stationary, \
+from .cvar import kkt_report, robust_premium_bilevel
+from .dcopf import HOURS
+from .fixtures import default_policy, default_risk_config, manhattan7, \
     reference_smp_model, typical_days
-from .pipeline import CaseConfig, ReportBundle, _analytic_doc, _quote_doc, \
-    run_case
-from .smp import STATES, attack_probability, relative_box, run_chain
-from .trilevel import ccg_solve, demand_scaling_sweep, \
+from .pipeline import CaseConfig, _quote_doc, analytic_stage, dlmp_stage, \
+    load_or_fixture, run_case, smp_stage
+from .trilevel import _grid_blocks, ccg_solve, demand_scaling_sweep, \
     solve_trilevel_direct
 
 
@@ -37,14 +33,11 @@ def _str_list(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _days_from(args):
-    return (dataio.load_typical_days(args.days) if args.days
-            else typical_days())
-
-
-def _network_from(args):
-    return (dataio.load_network(args.network) if args.network
-            else manhattan7())
+def _grid_from(args):
+    """(network, days) of --network and --days."""
+    return (load_or_fixture(args.network, dataio.load_network, manhattan7),
+            load_or_fixture(args.days, dataio.load_typical_days,
+                            typical_days))
 
 
 def _tariff_from(args, network, days):
@@ -55,103 +48,83 @@ def _tariff_from(args, network, days):
                 f"tariff days {ids} do not match demand days "
                 f"{tuple(days.day_ids)}")
         return tariff
-    return evcs_tariff_cents(network, per_day_dlmps(network, days))
+    return _grid_blocks(network, days)[1]
 
 
 def _risk_from(args):
-    if getattr(args, "policy_box", None):
-        return dataio.load_risk_config(args.policy_box, alpha=args.alpha,
-                                       bound_mode=args.bound)
-    return default_risk_config(alpha=args.alpha, bound_mode=args.bound)
+    return load_or_fixture(args.policy_box, dataio.load_risk_config,
+                           default_risk_config, alpha=args.alpha,
+                           bound_mode=args.bound)
 
 
-def _write_doc(out, name, doc, label="charging price"):
-    """name.json from doc, whose charging prices go to lambda_c.csv."""
-    price = doc.pop("charging_price_cents_per_kwh")
-    dataio._write_json(os.path.join(out, f"{name}.json"), doc)
-    dataio.write_charging_price(os.path.join(out, "lambda_c.csv"), price,
-                                label)
-    return doc
+def _path_for(args):
+    """The stage functions' path_for callback, writing into --out."""
+    os.makedirs(args.out, exist_ok=True)
+    return lambda name, filename: os.path.join(args.out, filename)
+
+
+def _echo(path):
+    with open(path) as fh:
+        sys.stdout.write(fh.read())
+
+
+def _write_doc(out, name, doc):
+    """name.json from doc, whose charging prices also go to lambda_c.csv."""
+    path = os.path.join(out, f"{name}.json")
+    dataio._write_json(path, doc)
+    dataio.write_charging_price(os.path.join(out, "lambda_c.csv"),
+                                doc["charging_price_cents_per_kwh"])
+    _echo(path)
 
 
 def _cmd_smp(args):
-    model = (dataio.load_transitions(args.transitions) if args.transitions
-             else reference_smp_model())
-    chain, result = run_chain(model)
-    published = attack_probability(published_embedded_stationary(),
-                                   PUBLISHED_SOJOURN)
-    box = relative_box(published.p_attack, args.epsilon)
-    doc = {
-        "states": list(STATES),
-        "kernel_at_infinity": chain.kernel_inf.tolist(),
-        "embedded_stationary": chain.stationary.tolist(),
-        "sojourn_hours": result.sojourn.tolist(),
-        "steady_state": result.steady_state.tolist(),
-        "p_attack": result.p_attack,
-        "published_p_attack": published.p_attack,
-        "confidence_box": {"lower": box.lower, "upper": box.upper},
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    os.makedirs(args.out, exist_ok=True)
-    dataio._write_json(os.path.join(args.out, "smp.json"), doc)
-    dataio.write_smp(os.path.join(args.out, "smp.csv"), result)
+    model = load_or_fixture(args.transitions, dataio.load_transitions,
+                            reference_smp_model)
+    path_for = _path_for(args)
+    smp_stage(model, args.epsilon, path_for)
+    _echo(path_for("smp", "smp.json"))
     return 0
 
 
 def _cmd_dlmp(args):
-    network = _network_from(args)
-    days = _days_from(args)
-    results = per_day_dlmps(network, days)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "dlmp.csv")
-    dataio.write_dlmp(path, network, results)
-    dataio.write_tariff(os.path.join(args.out, "tariff.csv"),
-                        evcs_tariff_cents(network, results),
-                        day_ids=days.day_ids)
-    print(f"wrote {path} and tariff.csv "
+    network, days = _grid_from(args)
+    path_for = _path_for(args)
+    dlmp_stage(network, days, path_for)
+    print(f"wrote {path_for('dlmp', 'dlmp.csv')} and tariff.csv "
           f"({len(days.day_ids)} days x {HOURS} hours x "
           f"{len(network.buses)} buses)")
     return 0
 
 
 def _cmd_premium_analytic(args):
-    days = _days_from(args)
-    network = _network_from(args)
+    network, days = _grid_from(args)
     tariff = _tariff_from(args, network, days)
-    policy = (dataio.load_policy(args.policy) if args.policy
-              else default_policy())
-    solution = closed_form_premium(policy, days, tariff)
-    os.makedirs(args.out, exist_ok=True)
-    doc = _write_doc(args.out, "analytic", _analytic_doc(solution),
-                     "closed-form charging price")
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    policy = load_or_fixture(args.policy, dataio.load_policy, default_policy)
+    path_for = _path_for(args)
+    analytic_stage(policy, days, tariff, path_for)
+    _echo(path_for("analytic", "analytic.json"))
     return 0
 
 
 def _cmd_premium_robust(args):
-    days = _days_from(args)
-    network = _network_from(args)
+    network, days = _grid_from(args)
     tariff = _tariff_from(args, network, days)
     config = _risk_from(args)
     quote = robust_premium_bilevel(days, config, tariff)
     os.makedirs(args.out, exist_ok=True)
-    doc = _write_doc(args.out, "premium_quote", _quote_doc(quote))
-    report_path = os.path.join(args.out, "kkt_report.txt")
-    with open(report_path, "w") as fh:
+    with open(os.path.join(args.out, "kkt_report.txt"), "w") as fh:
         fh.write("# optimality residuals of the final price program "
                  "(scale-normalized, dimensionless)\n")
-        from .cvar import kkt_report
         rep = kkt_report(quote.solution, days, quote.per_kwh, config,
                          tariff)
         for fam in sorted(rep.families):
             fh.write(f"{fam},{rep.families[fam]!r}\n")
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_doc(args.out, "premium_quote", _quote_doc(quote))
     return 0
 
 
 def _cmd_premium_trilevel(args):
-    days = _days_from(args)
-    network = _network_from(args)
+    network, days = _grid_from(args)
     config = _risk_from(args)
     solver = ccg_solve if args.mode == "ccg" else solve_trilevel_direct
     result = solver(network, days, config)
@@ -163,18 +136,17 @@ def _cmd_premium_trilevel(args):
         extra["ccg_bounds"] = [
             {"iteration": s.iteration, "lower": s.lower_bound,
              "upper": s.upper_bound} for s in result.ccg_trace]
-    doc = _write_doc(args.out, "trilevel_quote",
-                     {**_quote_doc(result.quote), **extra})
     dataio.write_tariff(os.path.join(args.out, "tariff.csv"),
                         result.tariff_cents, day_ids=days.day_ids)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_doc(args.out, "trilevel_quote",
+               {**_quote_doc(result.quote), **extra})
     return 0
 
 
 def _cmd_sweep(args):
-    days = _days_from(args)
-    network = _network_from(args)
-    config = _risk_from(args)
+    network, days = _grid_from(args)
+    config = load_or_fixture(args.policy_box, dataio.load_risk_config,
+                             default_risk_config)
     rows = demand_scaling_sweep(network, days, config,
                                 scales=args.scales, alphas=args.alphas,
                                 bounds=args.bounds)
@@ -207,6 +179,14 @@ def _cmd_run_case(args):
     return 0
 
 
+def _parent(*flags):
+    """Parser holding one shared flag group, for add_parser(parents=)."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="evcs-premium",
@@ -216,77 +196,54 @@ def build_parser():
                         help="output directory (default: ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    grid = _parent(("--network", {"help": "network JSON"}),
+                   ("--days", {"help": "typical-days CSV"}))
+    tariff = _parent(("--tariff", {"help": "tariff CSV (default: the OPF "
+                                           "tariff of --network)"}))
+    cell = _parent(("--alpha", {"type": float, "default": 1.0}),
+                   ("--bound", {"default": "expected",
+                                "choices": ("lower", "expected", "upper")}))
+    box = _parent(("--policy-box", {"dest": "policy_box",
+                                    "help": "policy-box JSON"}))
+    matrix = _parent(
+        ("--scales", {"type": _float_list,
+                      "default": (1, 100, 400, 800, 1000)}),
+        ("--alphas", {"type": _float_list, "default": (1.0, 0.5, 0.0)}),
+        ("--bounds", {"type": _str_list,
+                      "default": ("lower", "expected", "upper")}))
+
     p = sub.add_parser("smp", help="attack-chain probabilities")
     p.add_argument("--transitions", help="transition JSON")
     p.add_argument("--epsilon", type=float, default=0.10,
                    help="relative half-width of the confidence box")
     p.set_defaults(func=_cmd_smp)
 
-    p = sub.add_parser("dlmp", help="per-day locational prices")
-    p.add_argument("--network", help="network JSON")
-    p.add_argument("--days", help="typical-days CSV")
+    p = sub.add_parser("dlmp", parents=[grid],
+                       help="per-day locational prices")
     p.set_defaults(func=_cmd_dlmp)
 
-    p = sub.add_parser("premium-analytic", help="closed-form premium")
+    p = sub.add_parser("premium-analytic", parents=[grid, tariff],
+                       help="closed-form premium")
     p.add_argument("--policy", help="policy JSON")
-    p.add_argument("--days", help="typical-days CSV")
-    p.add_argument("--tariff", help="tariff CSV")
-    p.add_argument("--network",
-                   help="network JSON (tariff source when --tariff "
-                        "is omitted)")
     p.set_defaults(func=_cmd_premium_analytic)
 
-    p = sub.add_parser("premium-robust", help="risk-averse premium")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--bound", default="expected",
-                   choices=("lower", "expected", "upper"))
-    p.add_argument("--policy-box", dest="policy_box",
-                   help="policy-box JSON")
-    p.add_argument("--days", help="typical-days CSV")
-    p.add_argument("--tariff", help="tariff CSV")
-    p.add_argument("--network",
-                   help="network JSON (tariff source when --tariff "
-                        "is omitted)")
+    p = sub.add_parser("premium-robust", parents=[grid, tariff, cell, box],
+                       help="risk-averse premium")
     p.set_defaults(func=_cmd_premium_robust)
 
-    p = sub.add_parser("premium-trilevel", help="tri-level premium")
-    p.add_argument("--network", help="network JSON")
-    p.add_argument("--days", help="typical-days CSV")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--bound", default="expected",
-                   choices=("lower", "expected", "upper"))
+    p = sub.add_parser("premium-trilevel", parents=[grid, cell, box],
+                       help="tri-level premium")
     p.add_argument("--mode", default="direct", choices=("ccg", "direct"))
-    p.add_argument("--policy-box", dest="policy_box",
-                   help="policy-box JSON")
     p.set_defaults(func=_cmd_premium_trilevel)
 
-    p = sub.add_parser("sweep", help="demand-scaling premium grid")
-    p.add_argument("--scales", type=_float_list,
-                   default=(1, 100, 400, 800, 1000))
-    p.add_argument("--alphas", type=_float_list, default=(1.0, 0.5, 0.0))
-    p.add_argument("--bounds", type=_str_list,
-                   default=("lower", "expected", "upper"))
-    p.add_argument("--network", help="network JSON")
-    p.add_argument("--days", help="typical-days CSV")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help=argparse.SUPPRESS)
-    p.add_argument("--bound", default="expected", help=argparse.SUPPRESS)
-    p.add_argument("--policy-box", dest="policy_box",
-                   help="policy-box JSON")
+    p = sub.add_parser("sweep", parents=[grid, box, matrix],
+                       help="demand-scaling premium grid")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("run-case", help="full pipeline into --out")
-    p.add_argument("--network", help="network JSON")
-    p.add_argument("--days", help="typical-days CSV")
+    p = sub.add_parser("run-case", parents=[grid, box, matrix],
+                       help="full pipeline into --out")
     p.add_argument("--transitions", help="transition JSON")
     p.add_argument("--policy", help="policy JSON")
-    p.add_argument("--policy-box", dest="policy_box",
-                   help="policy-box JSON")
-    p.add_argument("--scales", type=_float_list,
-                   default=(1, 100, 400, 800, 1000))
-    p.add_argument("--alphas", type=_float_list, default=(1.0, 0.5, 0.0))
-    p.add_argument("--bounds", type=_str_list,
-                   default=("lower", "expected", "upper"))
     p.set_defaults(func=_cmd_run_case)
     return parser
 

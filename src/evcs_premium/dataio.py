@@ -355,9 +355,9 @@ def write_charging_price(path, price, label="charging price"):
             fh.write(f"{t + 1},{_fmt(price[t])}\n")
 
 
-def write_smp(path, result, published_p_attack=None):
+def write_smp(path, result, published_p_attack):
     """Attack-chain summary CSV (quantity,state,value): the sojourn and
-    steady state of each state, p_attack, then published_p_attack if given."""
+    steady state of each state, p_attack, then published_p_attack."""
     with open(path, "w", newline="") as fh:
         fh.write("# attack-chain summary; units: sojourn in hours, "
                  "probabilities dimensionless\n")
@@ -366,8 +366,7 @@ def write_smp(path, result, published_p_attack=None):
             for state, value in zip(STATES, getattr(result, quantity)):
                 fh.write(f"{quantity},{state},{_fmt(value)}\n")
         fh.write(f"p_attack,F,{_fmt(result.p_attack)}\n")
-        if published_p_attack is not None:
-            fh.write(f"published_p_attack,F,{_fmt(published_p_attack)}\n")
+        fh.write(f"published_p_attack,F,{_fmt(published_p_attack)}\n")
 
 
 SWEEP_HEADER = ["scale", "alpha", "bound", "lambda_c_avg", "x_hat"]

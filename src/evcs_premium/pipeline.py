@@ -7,7 +7,9 @@ with units in its header. Outputs carry no timestamps and all floats are
 written with repr, so a rerun over the same inputs is byte-identical. A
 MANIFEST.json names the completed stages; when a stage fails the manifest
 still lists what finished, the partial outputs stay on disk, and the
-failure is re-raised with the stage name attached.
+failure is re-raised with the stage name attached. The smp, dlmp and
+analytic stages are functions of their loaded inputs that the CLI's
+subcommands of the same names call too, so each file has one writer.
 """
 
 from __future__ import annotations
@@ -109,11 +111,62 @@ def _quote_doc(quote):
     }
 
 
-def _analytic_doc(solution):
-    return {"premium_cents": solution.premium,
-            "per_kwh_cents": solution.per_kwh, "omega": solution.omega,
-            "composite_c": solution.composite_c,
-            "charging_price_cents_per_kwh": list(solution.charging_price)}
+def load_or_fixture(path, loader, fixture, **kwargs):
+    """loader(path) when a path is given, else the built-in fixture."""
+    return loader(path, **kwargs) if path else fixture(**kwargs)
+
+
+def smp_stage(model, epsilon, path_for):
+    """Attack chain of model beside the published table: smp.json and
+    smp.csv at path_for(name, filename). Returns (chain, result, published,
+    box), box the confidence box of relative half-width epsilon."""
+    chain, result = run_chain(model)
+    published = attack_probability(published_embedded_stationary(),
+                                   PUBLISHED_SOJOURN)
+    box = relative_box(published.p_attack, epsilon)
+    dataio._write_json(path_for("smp", "smp.json"), {
+        "states": list(STATES),
+        "kernel_at_infinity": chain.kernel_inf.tolist(),
+        "embedded_stationary": chain.stationary.tolist(),
+        "sojourn_hours": result.sojourn.tolist(),
+        "steady_state": result.steady_state.tolist(),
+        "p_attack": result.p_attack,
+        "published": {
+            "steady_state": published.steady_state.tolist(),
+            "sojourn_hours": published.sojourn.tolist(),
+            "p_attack": published.p_attack,
+        },
+        "confidence_box": {"lower": box.lower, "upper": box.upper,
+                           "center": box.center,
+                           "relative_epsilon": epsilon},
+    })
+    dataio.write_smp(path_for("smp_csv", "smp.csv"), result,
+                     published.p_attack)
+    return chain, result, published, box
+
+
+def dlmp_stage(network, days, path_for):
+    """Verified grid blocks: dlmp.csv and tariff.csv; returns (results,
+    tariff) with the station tariff in cents/kWh."""
+    results, tariff, _ = _grid_blocks(network, days)
+    dataio.write_dlmp(path_for("dlmp", "dlmp.csv"), network, results)
+    dataio.write_tariff(path_for("tariff", "tariff.csv"), tariff,
+                        day_ids=days.day_ids)
+    return results, tariff
+
+
+def analytic_stage(policy, days, tariff, path_for):
+    """Closed-form premium: analytic.json and lambda_c.csv."""
+    solution = closed_form_premium(policy, days, tariff)
+    dataio._write_json(path_for("analytic", "analytic.json"), {
+        "premium_cents": solution.premium,
+        "per_kwh_cents": solution.per_kwh, "omega": solution.omega,
+        "composite_c": solution.composite_c,
+        "charging_price_cents_per_kwh": list(solution.charging_price)})
+    dataio.write_charging_price(path_for("lambda_c", "lambda_c.csv"),
+                                solution.charging_price,
+                                "closed-form charging price")
+    return solution
 
 
 def run_case(config: CaseConfig) -> ReportBundle:
@@ -134,12 +187,10 @@ def run_case(config: CaseConfig) -> ReportBundle:
 
     stage = "smp"
     try:
-        model = (dataio.load_transitions(config.transitions_path)
-                 if config.transitions_path else reference_smp_model())
-        chain, smp_result = run_chain(model)
-        published = attack_probability(published_embedded_stationary(),
-                                       PUBLISHED_SOJOURN)
-        box = relative_box(published.p_attack, config.confidence_epsilon)
+        model = load_or_fixture(config.transitions_path,
+                                dataio.load_transitions, reference_smp_model)
+        chain, smp_result, published, box = smp_stage(
+            model, config.confidence_epsilon, path_for)
         notes = published_reference_notes(
             None if config.transitions_path else (chain, smp_result))
         for s, state in enumerate(STATES):
@@ -156,43 +207,20 @@ def run_case(config: CaseConfig) -> ReportBundle:
             f"published steady-state table {published.p_attack:.5f} "
             f"(the published sojourn column is not reproducible from the "
             f"published transition parameters)")
-        dataio._write_json(path_for("smp", "smp.json"), {
-            "states": list(STATES),
-            "kernel_at_infinity": chain.kernel_inf.tolist(),
-            "embedded_stationary": chain.stationary.tolist(),
-            "sojourn_hours": smp_result.sojourn.tolist(),
-            "steady_state": smp_result.steady_state.tolist(),
-            "p_attack": smp_result.p_attack,
-            "published": {
-                "steady_state": published.steady_state.tolist(),
-                "sojourn_hours": published.sojourn.tolist(),
-                "p_attack": published.p_attack,
-            },
-            "confidence_box": {"lower": box.lower, "upper": box.upper,
-                               "center": box.center,
-                               "relative_epsilon":
-                                   config.confidence_epsilon},
-        })
-        dataio.write_smp(path_for("smp_csv", "smp.csv"), smp_result,
-                         published.p_attack)
         completed.append(stage)
 
         stage = "dlmp"
-        network = (dataio.load_network(config.network_path)
-                   if config.network_path else manhattan7())
-        days = (dataio.load_typical_days(config.days_path)
-                if config.days_path else typical_days())
-        dlmp_results, tariff, _ = _grid_blocks(network, days)
-        dataio.write_dlmp(path_for("dlmp", "dlmp.csv"), network,
-                          dlmp_results)
-        dataio.write_tariff(path_for("tariff", "tariff.csv"), tariff,
-                            day_ids=days.day_ids)
+        network = load_or_fixture(config.network_path, dataio.load_network,
+                                  manhattan7)
+        days = load_or_fixture(config.days_path, dataio.load_typical_days,
+                               typical_days)
+        dlmp_results, tariff = dlmp_stage(network, days, path_for)
         completed.append(stage)
 
         stage = "analytic"
-        policy = (dataio.load_policy(config.policy_path)
-                  if config.policy_path else default_policy())
-        analytic = closed_form_premium(policy, days, tariff)
+        policy = load_or_fixture(config.policy_path, dataio.load_policy,
+                                 default_policy)
+        analytic = analytic_stage(policy, days, tariff, path_for)
         grids = {
             "p_attack": np.linspace(0.03582, 0.04378, 9),
             "loading": np.linspace(0.25, 0.35, 9),
@@ -202,16 +230,11 @@ def run_case(config: CaseConfig) -> ReportBundle:
         sensitivity = {axis: (grid, sensitivity_sweep(policy, axis, grid,
                                                       days, tariff))
                        for axis, grid in grids.items()}
-        dataio._write_json(path_for("analytic", "analytic.json"),
-                           _analytic_doc(analytic))
-        dataio.write_charging_price(path_for("lambda_c", "lambda_c.csv"),
-                                    analytic.charging_price,
-                                    "closed-form charging price")
         completed.append(stage)
 
         stage = "robust"
-        risk = (dataio.load_risk_config(config.policy_box_path)
-                if config.policy_box_path else default_risk_config())
+        risk = load_or_fixture(config.policy_box_path,
+                               dataio.load_risk_config, default_risk_config)
         quotes = {}
         for alpha in config.alphas:
             for bound in config.bounds:
@@ -268,43 +291,33 @@ def emit_plot_data(bundle: ReportBundle, out_dir):
     fig5: the scale sweep at expected bounds, long format.
     fig6: per-kWh premium across alpha under lower and upper bounds.
     """
+    fmt = dataio._fmt
+    fig4 = [f"{axis},{fmt(v)},{fmt(x)}" for axis in sorted(bundle.sensitivity)
+            for v, x in zip(*bundle.sensitivity[axis])]
+    fig5 = [f"{row.scale!r},{row.alpha!r},{row.lambda_c_avg!r},{row.x_hat!r}"
+            for row in bundle.sweep
+            if row.bound == "expected" and row.feasible]
+    fig6 = [f"{alpha!r},{bound},{quote.per_kwh!r}"
+            for (alpha, bound), quote in sorted(
+                bundle.quotes.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+            if bound in ("lower", "upper")]
+    tables = {
+        "fig4": ("fig4_sensitivity.csv", "premium sensitivity; units: x_hat "
+                 "in cents/kWh, factor value dimensionless",
+                 "factor,value,x_hat", fig4),
+        "fig5": ("fig5_scaling.csv", "demand-scaling premiums at expected "
+                 "factor bounds; units: lambda_c_avg and x_hat in cents/kWh",
+                 "scale,alpha,lambda_c_avg,x_hat", fig5),
+        "fig6": ("fig6_alpha_bounds.csv", "per-kWh premium by tail level and "
+                 "factor bound; units: x_hat in cents/kWh",
+                 "alpha,bound,x_hat", fig6),
+    }
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-
-    p4 = os.path.join(out_dir, "fig4_sensitivity.csv")
-    with open(p4, "w", newline="") as fh:
-        fh.write("# premium sensitivity; units: x_hat in cents/kWh, "
-                 "factor value dimensionless\n")
-        fh.write("factor,value,x_hat\n")
-        for axis in sorted(bundle.sensitivity):
-            grid, premiums = bundle.sensitivity[axis]
-            for v, x in zip(grid, premiums):
-                fh.write(f"{axis},{dataio._fmt(v)},{dataio._fmt(x)}\n")
-    paths["fig4"] = p4
-    bundle.outputs.setdefault("fig4", os.path.basename(p4))
-
-    p5 = os.path.join(out_dir, "fig5_scaling.csv")
-    with open(p5, "w", newline="") as fh:
-        fh.write("# demand-scaling premiums at expected factor bounds; "
-                 "units: lambda_c_avg and x_hat in cents/kWh\n")
-        fh.write("scale,alpha,lambda_c_avg,x_hat\n")
-        for row in bundle.sweep:
-            if row.bound == "expected" and row.feasible:
-                fh.write(f"{row.scale!r},{row.alpha!r},"
-                         f"{row.lambda_c_avg!r},{row.x_hat!r}\n")
-    paths["fig5"] = p5
-    bundle.outputs.setdefault("fig5", os.path.basename(p5))
-
-    p6 = os.path.join(out_dir, "fig6_alpha_bounds.csv")
-    with open(p6, "w", newline="") as fh:
-        fh.write("# per-kWh premium by tail level and factor bound; "
-                 "units: x_hat in cents/kWh\n")
-        fh.write("alpha,bound,x_hat\n")
-        for (alpha, bound), quote in sorted(bundle.quotes.items(),
-                                            key=lambda kv: (-kv[0][0],
-                                                            kv[0][1])):
-            if bound in ("lower", "upper"):
-                fh.write(f"{alpha!r},{bound},{quote.per_kwh!r}\n")
-    paths["fig6"] = p6
-    bundle.outputs.setdefault("fig6", os.path.basename(p6))
+    for key, (filename, comment, header, rows) in tables.items():
+        paths[key] = os.path.join(out_dir, filename)
+        with open(paths[key], "w", newline="") as fh:
+            fh.write(f"# {comment}\n{header}\n")
+            fh.writelines(row + "\n" for row in rows)
+        bundle.outputs.setdefault(key, filename)
     return paths

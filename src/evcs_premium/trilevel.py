@@ -104,8 +104,7 @@ class TrilevelQuote:
         return self.quote.per_kwh
 
 
-def single_level_residuals(network: Network, days: TypicalDaySet,
-                           results) -> dict:
+def single_level_residuals(network: Network, results) -> dict:
     """Worst verbatim-block residuals of a composed grid solution.
 
     Families: primal power balance, flow-angle coupling, generator and
@@ -139,7 +138,7 @@ def single_level_residuals(network: Network, days: TypicalDaySet,
 def _grid_blocks(network, days):
     """Per-day OPF results, station tariff table, and duality gaps."""
     results = per_day_dlmps(network, days)
-    fam = single_level_residuals(network, days, results)
+    fam = single_level_residuals(network, results)
     worst = max(fam.values())
     if worst > DUALITY_GATE:
         bad = max(fam, key=fam.get)
@@ -194,7 +193,7 @@ def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig):
             f"{state.relative_gap:g} (tolerance {CCG_TOL:g})")
 
     quote = replace(principal, charging_price=sub.charging_price,
-                    trace=(premium,), iterations=1, solution=sub,
+                    iterations=principal.iterations + 1, solution=sub,
                     kkt_max_residual=_certified(sub, days, principal.per_kwh,
                                                 config, tariff))
     return TrilevelQuote(quote=quote, dlmp=tuple(results),

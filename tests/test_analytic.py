@@ -223,6 +223,35 @@ def test_tariff_shape_errors():
                           np.ones(24))
 
 
+_PRICED_BY_DEMAND = {
+    "closed_form_premium": lambda pol, days, prices:
+        closed_form_premium(pol, days, prices),
+    "sensitivity_sweep": lambda pol, days, prices:
+        sensitivity_sweep(pol, "loading", [0.3], days, prices),
+    "claim_loss": lambda pol, days, prices: claim_loss(pol, days, prices),
+    "breakeven_tariff": lambda pol, days, prices:
+        expected_breakeven_cost(pol, days, prices, np.ones(24), 1.0),
+    "breakeven_price": lambda pol, days, prices:
+        expected_breakeven_cost(pol, days, np.ones(24), prices, 1.0),
+}
+
+
+@pytest.mark.parametrize("per_day", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", sorted(_PRICED_BY_DEMAND))
+def test_non_finite_prices_raise_named_error(call, bad, per_day):
+    """A non-finite tariff or charging-price entry is named by day and
+    hour instead of becoming a NaN or infinite premium."""
+    days = typical_days()
+    prices = np.full((days.n_days, 24) if per_day else 24, 2.0)
+    prices[(2, 6) if per_day else 6] = bad
+    where = "day index 2" if per_day else "every day"
+    with pytest.raises(AnalyticError,
+                       match=f"prices must be finite: {where} hour 7 is "
+                             f"{bad!r}"):
+        _PRICED_BY_DEMAND[call](default_policy(), days, prices)
+
+
 def test_infeasible_policy_raises():
     policy = PolicyFactors(p_attack=0.9, loading=0.5, risk_share=1.0,
                            history_coeff=0.0, attack_count=0, penalty=3.0)

@@ -7,13 +7,14 @@ import importlib
 import json
 import os
 import pickle
+import re
 import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evcs_premium import cli, dataio
+from evcs_premium import cli, dataio, trilevel
 from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import (
     default_policy,
@@ -338,7 +339,7 @@ def test_results_pickle_and_deepcopy(tmp_path):
 def test_cli_smp(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path), "smp"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert_allclose(doc["published_p_attack"], 0.03980, rtol=0)
+    assert_allclose(doc["published"]["p_attack"], 0.03980, rtol=0)
     assert doc["confidence_box"]["lower"] < 0.0398 \
         < doc["confidence_box"]["upper"]
     assert (tmp_path / "smp.json").exists()
@@ -403,6 +404,59 @@ def test_cli_run_case(tmp_path, capsys):
     assert rc == 0
     assert "case complete" in capsys.readouterr().out
     assert (tmp_path / "MANIFEST.json").exists()
+
+
+def test_cli_stages_write_run_case_bytes(tmp_path, capsys):
+    """smp, dlmp and premium-analytic write the files they share with
+    run_case byte for byte, since both run the same stage functions."""
+    cli_dir, case_dir = tmp_path / "cli", tmp_path / "case"
+    for command in ("smp", "dlmp", "premium-analytic"):
+        assert cli.main(["--out", str(cli_dir), command]) == 0
+    run_case(CaseConfig(out_dir=str(case_dir), **_SMALL_MATRIX))
+    shared = sorted(set(os.listdir(cli_dir)) & set(os.listdir(case_dir)))
+    assert shared == ["analytic.json", "dlmp.csv", "lambda_c.csv",
+                      "smp.csv", "smp.json", "tariff.csv"]
+    _, mismatch, errors = filecmp.cmpfiles(cli_dir, case_dir, shared,
+                                           shallow=False)
+    assert mismatch == [] and errors == []
+
+
+@pytest.mark.parametrize("command", ["dlmp", "premium-analytic",
+                                     "premium-robust"])
+def test_cli_opf_tariff_passes_grid_block_gate(command, tmp_path, capsys,
+                                               monkeypatch):
+    """The CLI's OPF-derived tariff goes through the same grid-block
+    verification as run_case's, so a failing block stops the command."""
+    monkeypatch.setattr(trilevel, "single_level_residuals",
+                        lambda network, results: {"dual_sign": 1.0})
+    assert cli.main(["--out", str(tmp_path), command]) == 1
+    assert "grid block verification failed: dual_sign" \
+        in capsys.readouterr().err
+
+
+_CLI_FLAGS = {
+    "smp": {"--transitions", "--epsilon"},
+    "dlmp": {"--network", "--days"},
+    "premium-analytic": {"--network", "--days", "--tariff", "--policy"},
+    "premium-robust": {"--network", "--days", "--tariff", "--alpha",
+                       "--bound", "--policy-box"},
+    "premium-trilevel": {"--network", "--days", "--alpha", "--bound",
+                         "--policy-box", "--mode"},
+    "sweep": {"--network", "--days", "--policy-box", "--scales",
+              "--alphas", "--bounds"},
+    "run-case": {"--network", "--days", "--transitions", "--policy",
+                 "--policy-box", "--scales", "--alphas", "--bounds"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_FLAGS))
+def test_cli_subcommand_help_lists_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                           capsys.readouterr().out))
+    assert shown == _CLI_FLAGS[command] | {"--help"}
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

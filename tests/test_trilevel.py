@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from evcs_premium import trilevel
-from evcs_premium.cvar import robust_premium_bilevel
+from evcs_premium.cvar import premium_fixed_point, robust_premium_bilevel
 from evcs_premium.dcopf import Generator, Network, dual_feasibility_check, \
     per_day_dlmps
 from evcs_premium.fixtures import (
@@ -57,15 +57,18 @@ def test_ccg_matches_direct_solve():
 
 
 def test_ccg_bound_sequences_are_certified():
-    quote = ccg_solve(manhattan7(), typical_days(),
-                      default_risk_config(alpha=0.5))
+    days, config = typical_days(), default_risk_config(alpha=0.5)
+    quote = ccg_solve(manhattan7(), days, config)
     (state,) = quote.ccg_trace
     assert state.iteration == 1
     assert state.premium == quote.premium
     slack = CCG_TOL * (1.0 + abs(state.upper_bound)) + 1e-9
     assert state.lower_bound <= state.upper_bound + slack
     assert state.relative_gap <= CCG_TOL
-    assert quote.quote.iterations == 1
+    # the principal's fixed-point trace and programs, plus the subproblem
+    principal = premium_fixed_point(days, config, quote.tariff_cents)
+    assert quote.quote.trace == principal.trace
+    assert quote.quote.iterations == principal.iterations + 1
     assert quote.quote.kkt_max_residual <= 1e-6
 
 
@@ -106,14 +109,14 @@ def test_trilevel_reduces_to_bilevel_on_flat_grid():
 def test_grid_residual_families():
     net = manhattan7()
     days = typical_days()
-    res = single_level_residuals(net, days, per_day_dlmps(net, days))
+    res = single_level_residuals(net, per_day_dlmps(net, days))
     assert set(res) == {"balance", "flow_angle", "limits",
                        "dual_stationarity", "dual_sign", "duality_gap"}
     for family, value in res.items():
         assert value <= 1e-8, family
 
 
-def _single_level_loop_reference(network, days, results):
+def _single_level_loop_reference(network, results):
     """single_level_residuals one day, line and generator at a time: the
     check as it was written before it took array form."""
     idx = network.bus_index()
@@ -189,8 +192,8 @@ def test_grid_residuals_match_loop_reference(grid_feeders):
             composed = results if change is None else [
                 dataclasses.replace(r, **{change[0]: change[1](r)})
                 for r in results]
-            new = single_level_residuals(net, days, composed)
-            ref = _single_level_loop_reference(net, days, composed)
+            new = single_level_residuals(net, composed)
+            ref = _single_level_loop_reference(net, composed)
             assert new.keys() == ref.keys()
             for family in ref:
                 assert abs(new[family] - ref[family]) <= 1e-15 * scale, family
