@@ -297,15 +297,25 @@ def _highs_solve(prob, basis=None):
         return status, message, None, None, None, None, 0, None
     solution = highs.getSolution()
     final = highs.getBasis()
-    # bytes() reads each fresh enum object's __index__ in C, faster than
-    # int() per entry; an identity test against kLower never matches
-    side = np.frombuffer(bytes(final.col_status), np.int8)
+    x = np.array(solution.col_value)
     col_dual = np.array(solution.col_dual)
+    if q is None:
+        # The simplex leaves a nonbasic column exactly on its bound, so the
+        # side a column's dual belongs to is read off the primal point,
+        # not off the basis's per-column enum objects; a fixed column is
+        # at its lower bound unless its dual is negative.
+        fixed = prob.lower == prob.upper
+        at_upper = (x == prob.upper) & ~(fixed & (col_dual >= 0.0))
+        at_lower = (x == prob.lower) & ~at_upper
+    else:
+        # the QP solver's point may sit off a bound its column is held at;
+        # bytes() reads each enum object's __index__ in C
+        side = np.frombuffer(bytes(final.col_status), np.int8)
+        at_lower, at_upper = side == _AT_LOWER, side == _AT_UPPER
     info = highs.getInfo()
-    return (status, message, np.array(solution.col_value),
-            np.array(solution.row_dual),
-            np.where(side == _AT_LOWER, col_dual, 0.0),
-            np.where(side == _AT_UPPER, col_dual, 0.0),
+    return (status, message, x, np.array(solution.row_dual),
+            np.where(at_lower, col_dual, 0.0),
+            np.where(at_upper, col_dual, 0.0),
             info.simplex_iteration_count + info.qp_iteration_count, final)
 
 

@@ -33,11 +33,15 @@ Uryasev, J. Risk 2000). At the current prices the sort-and-fill vertex
 of cvar_sup is the most violated one (a one-hot on the worst day at
 alpha = 0, phi itself at alpha = 1); it enters the master problem as the
 cut m (D^T w).lambda >= a.w. The master, a minimum-norm point under
-finitely many cuts, is a least-distance program solved by Lawson-Hanson
-NNLS (Solving Least Squares Problems, 1974, ch. 23) and polished by one
-exact solve on its rows with positive multipliers. The rounds end when the
-most violated vertex is already a cut or not violated at all; Q_alpha
-has finitely many vertices, so they are finite.
+finitely many cuts, is a least-distance program. With one cut it is the
+projection onto that cut, in closed form (a cut that is not violated at
+lambda = 0 gives lambda = 0); with more it is solved by Lawson-Hanson NNLS
+(Solving Least Squares Problems, 1974, ch. 23) and polished by one exact
+solve on its rows with positive multipliers, a QR and two LU solves made
+by direct LAPACK calls. The slope of the prices in x (below) is read off
+the final master only. The rounds end when the most violated vertex is
+already a cut or not violated at all; Q_alpha has finitely many vertices,
+so they are finite.
 
 Feasibility is decided in closed form. Since p_attack and risk_share lie
 in [0, 1], m >= 0. For m > 0 the program is always feasible (raising the
@@ -79,6 +83,7 @@ from .analytic import (
     composite_C,
     premium_multiplier_M,
 )
+from scipy.linalg import lapack
 from scipy.optimize import nnls
 
 BOUND_MODES = ("lower", "expected", "upper")
@@ -107,6 +112,8 @@ def _interval(name, pair, lo_ok, hi_ok):
                         f"got ({lo}, {hi})")
     if hi > hi_ok:
         raise RiskError(f"{name} upper bound {hi} outside domain (max {hi_ok})")
+    if not np.isfinite(hi):
+        raise RiskError(f"{name} interval must be finite, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -210,18 +217,20 @@ class CvarSolution:
                                np.asarray(getattr(self, name), dtype=float))
         for name in ("zeta", "varphi", "mu", "beta"):
             arr = getattr(self, name)
-            if arr.size and arr.min() < -1e-9:
-                raise RiskError(f"{name} must be nonnegative, min {arr.min()}")
+            low = float(arr.min()) if arr.size else 0.0
+            if low < -1e-9:
+                raise RiskError(f"{name} must be nonnegative, min {low}")
         if self.eta < -1e-9:
             raise RiskError(f"eta must be nonnegative, got {self.eta}")
-        if abs(self.varphi.sum() - self.eta) > 1e-7:
+        total, mu_sum = float(self.varphi.sum()), float(self.mu.sum())
+        if abs(total - self.eta) > 1e-7:
             raise RiskError(
-                f"sum of scenario multipliers {self.varphi.sum()} must equal "
+                f"sum of scenario multipliers {total} must equal "
                 f"eta {self.eta} within 1e-7")
-        lhs = (1.0 - self.alpha) * self.varphi.sum()
-        if abs(lhs - self.mu.sum()) > 1e-6:
+        lhs = (1.0 - self.alpha) * total
+        if abs(lhs - mu_sum) > 1e-6:
             raise RiskError(
-                f"(1-alpha) sum(varphi) = {lhs} and sum(mu) = {self.mu.sum()} "
+                f"(1-alpha) sum(varphi) = {lhs} and sum(mu) = {mu_sum} "
                 "must agree within 1e-6")
 
 
@@ -264,21 +273,28 @@ def _tail_vertex(costs, weights, alpha):
     worst day, alpha = 1 the weights themselves (filled last by the
     cheapest day).
     """
-    order = np.argsort(-costs, kind="stable")
+    # a stable descending sort: ties stay in day order
+    cost = costs.tolist()
+    order = sorted(range(len(cost)), key=cost.__getitem__, reverse=True)
     if alpha == 1.0:
-        return weights.copy(), int(order[-1])
-    w = np.zeros(costs.size)
+        return weights.copy(), order[-1]
+    w = np.zeros(len(cost))
     if alpha == 0.0:
-        last = int(order[0])
-        w[last] = 1.0
-        return w, last
+        w[order[0]] = 1.0
+        return w, order[0]
     caps = weights / alpha
-    k = min(int(np.searchsorted(np.cumsum(caps[order]), 1.0)),
-            costs.size - 1)
-    full = np.sort(order[:k])
-    last = int(order[k])
+    cap = caps.tolist()
+    # days before the running sum of caps reaches one are full
+    k, filled = 0, 0.0
+    for s in order[:-1]:
+        filled += cap[s]
+        if filled >= 1.0:
+            break
+        k += 1
+    full = sorted(order[:k])
+    last = order[k]
     w[full] = caps[full]
-    w[last] = max(1.0 - w[full].sum(), 0.0)
+    w[last] = max(1.0 - float(w[full].sum()), 0.0)
     return w, last
 
 
@@ -347,54 +363,90 @@ def _cost_pieces(days, x_hat, policy, tar):
 
 
 _MAX_CUT_ROUNDS = 200
+_dgeqrf, _dorgqr = lapack.dgeqrf, lapack.dorgqr
+_dgesv, _dgetrs = lapack.dgesv, lapack.dgetrs
 
 
-def _least_distance(g, h, dh):
-    """min ||x||^2 s.t. g x >= h, as NNLS on [g^T; h^T] u ~ e_last.
+def _unpolished(n, k):
+    """slope of a master point without an exact active-set solve."""
+    return lambda dh: (np.full(n, np.nan), np.full(k, np.nan))
 
-    Lawson & Hanson's least-distance reduction: with r = E u - e_last,
-    x = -r[:n] / r[n] = g^T u / (1 - h.u). The right-hand side is scaled
-    to unit size first, which scales x alike. One exact solve on the rows
-    with positive multipliers then polishes the point. Returns (x, y, dx,
-    dy) with 2 x = g^T y, y >= 0 and dx, dy the derivatives of x and y as
-    h moves along dh on that active set, read from the same QR (NaN when
-    unpolished; dy also when a polished multiplier is not positive).
+
+def _least_distance(g, h):
+    """min ||x||^2 s.t. g x >= h over k cuts g (k, n).
+
+    Returns (x, y, slope) with 2 x = g^T y, y >= 0, and slope(dh) -> (dx,
+    dy), the derivatives of x and y as h moves along dh on the master's
+    active set (NaN when unpolished; dy also when a polished multiplier is
+    not positive). The slopes are only computed when asked for.
+
+    One cut is solved in closed form: x = (h / |g|^2) g and y = 2 h / |g|^2
+    for h > 0, the zero point otherwise. More cuts go through Lawson &
+    Hanson's least-distance reduction, NNLS on [g^T; h^T] u ~ e_last: with
+    r = E u - e_last, x = -r[:n] / r[n] = g^T u / (1 - h.u). The
+    right-hand side is scaled to unit size first, which scales x alike.
+    One exact solve on the rows with positive multipliers then polishes
+    the point: the QR g_A^T = q r, and LU solves with r^T and r.
     """
-    scale = float(np.abs(h).max(initial=0.0)) or 1.0
-    hs = h / scale
-    e = np.vstack([g.T, hs])
-    f = np.zeros(e.shape[0])
-    f[-1] = 1.0
+    k, n = g.shape
+    if k == 1:
+        h0 = float(h[0])
+        if h0 <= 0.0:
+            return np.zeros(n), np.zeros(1), _unpolished(n, 1)
+        row = g[0]
+        gg = float(row @ row)
+        if gg <= 1e-12 * (1.0 + gg):
+            raise RiskError("least-distance master has inconsistent rows")
+        t = h0 / gg
+        return row * t, np.array([2.0 * t]), lambda dh: (
+            row * (float(dh[0]) / gg), np.array([2.0 * float(dh[0]) / gg]))
+
+    scale = float(np.abs(h).max()) or 1.0
+    e = np.empty((n + 1, k))
+    e[:n] = g.T
+    e[n] = h / scale
+    f = np.zeros(n + 1)
+    f[n] = 1.0
     try:
         u, _ = nnls(e, f)
     except RuntimeError as exc:
         raise RiskError(f"least-distance master failed: {exc}") from None
-    den = 1.0 - float(hs @ u)
+    den = 1.0 - float(e[n] @ u)
     if den <= 1e-12:
         raise RiskError("least-distance master has inconsistent rows")
     y = u * (2.0 * scale / den)
     x = 0.5 * (g.T @ y)
 
-    dx, dy = np.full(x.size, np.nan), np.full(h.size, np.nan)
     active = np.flatnonzero(u > 0.0)
-    if 0 < active.size <= g.shape[1]:
-        q, r = np.linalg.qr(g[active].T)
-        try:
-            z = np.linalg.solve(r.T, h[active])
-            ya = 2.0 * np.linalg.solve(r, z)
-        except np.linalg.LinAlgError:
-            return x, y, dx, dy
-        xp = q @ z
-        size = 1.0 + float(np.abs(y).max())
-        if (ya.min() >= -1e-9 * size
-                and float(np.min(g @ xp - h)) >= -1e-9 * scale):
-            y = np.zeros(h.size)
-            y[active] = np.maximum(ya, 0.0)
-            zd = np.linalg.solve(r.T, dh[active])
-            x, dx = xp, q @ zd
-            if ya.min() > 0.0:
-                dy[active] = 2.0 * np.linalg.solve(r, zd)
-    return x, y, dx, dy
+    size = active.size
+    if not 0 < size <= n:
+        return x, y, _unpolished(n, k)
+    qr, tau = _dgeqrf(g[active].T)[:2]
+    q = _dorgqr(qr, tau)[0]
+    r = qr[:size]
+    for j in range(1, size):
+        r[j, :j] = 0.0      # the reflectors stored below R's diagonal
+    lu_t, piv_t, z, info = _dgesv(r.T, h[active])
+    if info == 0:
+        lu, piv, ya, info = _dgesv(r, z)
+    if info != 0:
+        return x, y, _unpolished(n, k)
+    ya *= 2.0
+    xp = q @ z
+    low = float(ya.min())
+    if not (low >= -1e-9 * (1.0 + float(np.abs(y).max()))
+            and float((g @ xp - h).min()) >= -1e-9 * scale):
+        return x, y, _unpolished(n, k)
+    y = np.zeros(k)
+    y[active] = np.maximum(ya, 0.0)
+
+    def slope(dh):
+        zd = _dgetrs(lu_t, piv_t, dh[active])[0]
+        dy = np.full(k, np.nan)
+        if low > 0.0:
+            dy[active] = 2.0 * _dgetrs(lu, piv, zd)[0]
+        return q @ zd, dy
+    return xp, y, slope
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
@@ -445,20 +497,20 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     d_ref = max(float(energy.mean()), 1e-9)
     cuts, rows, rhs, drhs = [], [], [], []
     keys = set()
-    lam, dlam = np.zeros(n_hour), np.zeros(n_hour)
-    y = dy = np.zeros(0)
+    lam, y = np.zeros(n_hour), np.zeros(0)
+    slope = None
     fresh = seeds
     for _ in range(_MAX_CUT_ROUNDS):
         for w in fresh:
-            if w.tobytes() not in keys:
-                keys.add(w.tobytes())
+            key = w.tobytes()
+            if key not in keys:
+                keys.add(key)
                 cuts.append(w)
                 rows.append(m * (w @ d) / d_ref)
                 rhs.append(float(w @ a) / d_ref)
                 drhs.append(float(w @ energy) / d_ref)
         if len(fresh):
-            lam, y, dlam, dy = _least_distance(
-                np.vstack(rows), np.array(rhs), np.array(drhs))
+            lam, y, slope = _least_distance(np.array(rows), np.array(rhs))
         costs = a - m * (d @ lam)
         w, last = _tail_vertex(costs, phi, alpha)
         # A repeated vertex is satisfied up to rounding by the master's
@@ -470,6 +522,9 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
         raise RiskError(
             f"price program cutting planes did not settle in "
             f"{_MAX_CUT_ROUNDS} rounds")
+    # only the returned master's slopes are computed
+    dlam, dy = (np.zeros(n_hour), y) if slope is None else \
+        slope(np.array(drhs))
     return _solution(days, alpha, m, costs, w, last, lam, dlam,
                      np.array(cuts).reshape(-1, n_day), y / d_ref,
                      dy / d_ref)
@@ -505,7 +560,8 @@ def _along_active_set(sol, step, days, x_hat, config, tar):
     the tail vertex an active cut or not violated), else None."""
     lam = sol.charging_price + step * sol.price_slope
     y = sol.cut_multipliers + step * sol.multiplier_slope
-    if not (lam.min(initial=0.0) >= 0.0 and y.min(initial=0.0) >= 0.0):
+    if not (float(lam.min(initial=0.0)) >= 0.0
+            and float(y.min(initial=0.0)) >= 0.0):
         return None
     m, a = _cost_pieces(days, x_hat, config.resolved_policy(), tar)
     costs = a - m * (days.demand_kw @ lam)

@@ -63,8 +63,10 @@ def published_embedded_stationary():
 
 
 def published_reference_notes(reference_run=None):
-    """Computed-vs-published discrepancies, for the case-run report;
-    reference_run is run_chain(reference_smp_model()) if already known."""
+    """Computed-vs-published discrepancies, for the case-run report.
+
+    reference_run is (chain, result) of run_chain on the run's own model;
+    by default the reference model's chain is run."""
     if reference_run is None:
         from .smp import run_chain  # local import keeps module import light
 

@@ -191,8 +191,7 @@ def run_case(config: CaseConfig) -> ReportBundle:
                                 dataio.load_transitions, reference_smp_model)
         chain, smp_result, published, box = smp_stage(
             model, config.confidence_epsilon, path_for)
-        notes = published_reference_notes(
-            None if config.transitions_path else (chain, smp_result))
+        notes = published_reference_notes((chain, smp_result))
         for s, state in enumerate(STATES):
             comp = notes["computed_sojourn"][s]
             pub = notes["published_sojourn"][s]

@@ -300,6 +300,56 @@ class TestSolveLp:
             assert "linprog" not in text, path.name
             assert ("_highspy" in text) == (path.name == "backend.py")
 
+    def test_bound_duals_match_the_basis_split(self, monkeypatch):
+        """reduced_lower and reduced_upper, read off the primal point, are
+        HiGHS's column duals split by the final basis's column status, bit
+        for bit, on LPs with fixed, free, one-sided and boxed columns."""
+        made = []
+        real = backend._highs._Highs
+
+        def recorded():
+            made.append(real())
+            return made[-1]
+
+        monkeypatch.setattr(backend._highs, "_Highs", recorded)
+        kinds = backend._highs.HighsBasisStatus
+        rng = np.random.default_rng(1414)
+        seen = set()
+        for i in range(400):
+            lp = random_mixed_lp(rng)
+            if i % 2:
+                # fix about a third of the columns at a finite bound
+                fix = rng.random(lp.num_vars) < 0.3
+                value = np.where(np.isfinite(lp.lower), lp.lower,
+                                 np.where(np.isfinite(lp.upper), lp.upper,
+                                          0.5))
+                lp.lower[fix] = lp.upper[fix] = value[fix]
+            res = solve_lp(lp)
+            if res.x is None:
+                continue
+            status = made[-1].getBasis().col_status
+            col_dual = np.array(made[-1].getSolution().col_dual)
+            lower = np.where([s == kinds.kLower for s in status], col_dual,
+                             0.0)
+            upper = np.where([s == kinds.kUpper for s in status], col_dual,
+                             0.0)
+            assert res.reduced_lower.tobytes() == lower.tobytes()
+            assert res.reduced_upper.tobytes() == upper.tobytes()
+            finite = (np.isfinite(lp.lower), np.isfinite(lp.upper))
+            for j in np.flatnonzero(col_dual):
+                seen.add((bool(finite[0][j]), bool(finite[1][j]),
+                          bool(lp.lower[j] == lp.upper[j]),
+                          bool(col_dual[j] > 0.0)))
+            seen.update(("basic at a bound", True) for s, x, lo, up in zip(
+                status, res.x, lp.lower, lp.upper)
+                if s == kinds.kBasic and (x == lo or x == up))
+        # bound duals of both signs on one-sided, boxed and fixed columns,
+        # and basic columns that sit on a bound
+        assert {(True, False, False, True), (False, True, False, False),
+                (True, True, False, True), (True, True, False, False),
+                (True, True, True, True), (True, True, True, False),
+                ("basic at a bound", True)} <= seen
+
     def test_missing_bindings_named(self):
         # without scipy's private HiGHS bindings the backend refuses to load
         code = ("import sys\n"

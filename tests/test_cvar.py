@@ -620,6 +620,18 @@ def test_configuration_validation():
                      solution=None, kkt_max_residual=0.0, total_demand=10.0)
 
 
+@pytest.mark.parametrize("field", ["p_attack", "loading", "history_coeff"])
+@pytest.mark.parametrize("pair", [(0.2, np.inf), (np.inf, np.inf),
+                                  (-np.inf, 0.3)])
+def test_policy_box_rejects_infinite_bounds(field, pair):
+    """An infinite bound is refused when the box is built, naming the
+    field, not later when a bound mode selects it."""
+    box = dict(p_attack=(0.1, 0.2), loading=(0.1, 0.2),
+               history_coeff=(0.2, 0.3))
+    with pytest.raises(RiskError, match=field):
+        PolicyBox(**{**box, field: pair})
+
+
 def _reference_prices(days, x_hat, config, tariff):
     """The price program as the generic QP, solved by backend.solve_qp
     (HiGHS's active-set QP solver); returns its status, the prices and a.

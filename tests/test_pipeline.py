@@ -281,6 +281,29 @@ def test_run_case_reruns_byte_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+def test_discrepancies_name_the_runs_own_model(tmp_path):
+    """With a transitions file, discrepancies.txt compares that model's
+    chain, the one smp.json reports, with the published tables."""
+    model = reference_smp_model()
+    model = type(model)(transitions={
+        **model.transitions,
+        "IF": type(model["IF"])(shape=model["IF"].shape,
+                                scale=0.5 * model["IF"].scale)})
+    path = tmp_path / "transitions.json"
+    dataio.write_transitions(path, model)
+    out = tmp_path / "case"
+    run_case(CaseConfig(out_dir=str(out), transitions_path=str(path),
+                        alphas=(1.0,), scales=(1,), bounds=("expected",)))
+    smp = json.loads((out / "smp.json").read_text())
+    notes = (out / "discrepancies.txt").read_text()
+    assert f"p_attack from transition parameters {smp['p_attack']:.6f} " \
+        in notes
+    assert f"{smp['p_attack']:.6f}" != "0.026122"  # the reference model's
+    for state, hours in zip(smp["states"], smp["sojourn_hours"]):
+        if f"sojourn[{state}]" in notes:
+            assert f"sojourn[{state}] computed {hours:.4f} h" in notes
+
+
 def test_run_case_failure_writes_partial_manifest(tmp_path):
     bad = tmp_path / "bad_days.csv"
     _write_rows(bad, _day_rows("a", 0.6) + _day_rows("b", 0.3))
