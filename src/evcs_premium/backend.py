@@ -45,6 +45,13 @@ class BackendError(ValueError):
     """Raised for malformed problems."""
 
 
+def worst_residual(values):
+    """The largest of a sequence of residuals, NaN if any is NaN (max
+    alone drops a NaN that is not first, and NaN > gate is False)."""
+    top = max(values)
+    return top if all(v <= top for v in values) else float("nan")
+
+
 try:  # private API, shipped with scipy 1.17
     from scipy.optimize._highspy import _core as _highs
 except ImportError as exc:

@@ -8,8 +8,8 @@ cost nonpositive:
 
 with m = Gamma_p(gamma - 1) + 1 and a^s the lambda-free part of the
 worst-case day cost. The insurer side is the premium fixed point
-x = f(x) = CL(lambda(x)), one core (premium_fixed_point) for the bi-level
-quote and for the principal of the tri-level CCG round. f is
+x = f(x) = CL(lambda(x)), one core (robust_premium_bilevel) for the
+bi-level quote and for the principal of the tri-level CCG round. f is
 nondecreasing with slope below C/M < 1. On a fixed active set lambda is
 affine in x (the cut right-hand sides w.a move with x), so the Newton
 step x + g / (1 - f') on g = f - x, with f' read from the final master's
@@ -22,9 +22,7 @@ multipliers are carried to it along the last active set (the homotopy of
 parametric active-set QP; Ferreau et al., Math. Prog. Comp. 2014), and
 the point is verified when they stay nonnegative, the cutting-plane stop
 rule holds, g passes the tolerance and the KKT certificate its gate.
-Otherwise a program runs there, its master started from the active cuts
-of the previous one, valid inequalities of the new program, so it
-usually settles in one solve.
+Otherwise a program runs there, from no cuts like the first one.
 
 The price program is solved exactly by cutting planes. CVaR_alpha(c) <= 0
 holds exactly when w.c <= 0 for every vertex w of the risk envelope
@@ -83,6 +81,7 @@ from .analytic import (
     composite_C,
     premium_multiplier_M,
 )
+from .backend import worst_residual
 from scipy.linalg import lapack
 from scipy.optimize import nnls
 
@@ -311,8 +310,11 @@ def cvar_sup(costs, weights, alpha):
         raise RiskError(f"alpha must be in [0,1], got {alpha}")
     if costs.shape != weights.shape or costs.ndim != 1 or costs.size == 0:
         raise RiskError("costs and weights must be matching 1-d arrays")
-    if not np.all(np.isfinite(costs)):
-        raise RiskError("costs must be finite")
+    for name, values in (("costs", costs), ("weights", weights)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise RiskError(f"{name} must be finite, got "
+                            f"{float(values[bad[0]])!r} at index {bad[0]}")
     if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-9:
         raise RiskError("weights must be a probability vector")
     w, _ = _tail_vertex(costs, weights, alpha)
@@ -450,23 +452,16 @@ def _least_distance(g, h):
 
 
 def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
-                           tariff, *, seed_cuts=None):
+                           tariff):
     """Minimum-norm charging prices keeping the alpha-tail cost nonpositive.
 
     tariff may be one (T,) schedule or a per-day (S, T) table in cents/kWh;
     x_hat is the premium surcharge in cents/kWh. Solved exactly by cutting
     planes over the vertices of the risk envelope (see the module
     docstring).
-
-    seed_cuts, a (k, S) array of points of Q_alpha such as the
-    active_cuts of an earlier solution on the same days and alpha, enters
-    the first master problem. Every such w gives a valid inequality
-    w.(a - m D lambda) <= 0 of the program, so the optimum is unchanged;
-    when the seeds hold the optimal active set the program settles in
-    one master solve.
     """
-    if x_hat < 0:
-        raise RiskError(f"x_hat must be nonnegative, got {x_hat}")
+    if not 0.0 <= x_hat < np.inf:
+        raise RiskError(f"x_hat must be finite and nonnegative, got {x_hat}")
     policy = config.resolved_policy()
     m, a = _cost_pieces(days, x_hat, policy, _day_tariff(days, tariff))
     d = days.demand_kw
@@ -481,15 +476,6 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
         raise RiskInfeasibleError(
             f"no nonnegative price satisfies the alpha={alpha} tail "
             f"constraint (m={m:g}); the station cannot break even")
-    seeds = np.zeros((0, n_day))
-    if seed_cuts is not None:
-        seeds = np.asarray(seed_cuts, dtype=float)
-        if seeds.ndim != 2 or seeds.shape[1] != n_day or not (
-                np.all(seeds >= 0.0)
-                and np.all(np.abs(seeds.sum(axis=1) - 1.0) <= 1e-9)
-                and np.all(alpha * seeds <= phi + 1e-9)):
-            raise RiskError(f"seed_cuts must be points of the alpha={alpha} "
-                            f"risk envelope over {n_day} days")
 
     # Cut rows are divided by a reference daily energy so the master stays
     # O(1) at any demand scale; their multipliers map back as y / d_ref.
@@ -499,7 +485,7 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     keys = set()
     lam, y = np.zeros(n_hour), np.zeros(0)
     slope = None
-    fresh = seeds
+    fresh = ()
     for _ in range(_MAX_CUT_ROUNDS):
         for w in fresh:
             key = w.tobytes()
@@ -587,7 +573,7 @@ class KktReport:
 
     @property
     def max_residual(self):
-        return max(self.families.values())
+        return worst_residual(self.families.values())
 
 
 def _rel(raw, scale):
@@ -639,31 +625,38 @@ def kkt_report(solution: CvarSolution, days: TypicalDaySet, x_hat,
     return KktReport(fam)
 
 
+def dual_value(solution: CvarSolution, days: TypicalDaySet, x_hat,
+               config: RiskConfig, tariff):
+    """varphi.a - |lambda~|^2 with 2 lambda~ = m D^T varphi + beta: the
+    price program's Lagrangian dual function at the solution's multipliers
+    wherever stat_eta and stat_zeta hold, so by weak duality a lower bound
+    on the optimal |lambda|^2, which it equals at a KKT point."""
+    m, a = _cost_pieces(days, x_hat, config.resolved_policy(),
+                        _day_tariff(days, tariff))
+    varphi = solution.varphi
+    lam = 0.5 * (m * (varphi @ days.demand_kw) + solution.beta)
+    return float(varphi @ a) - float(lam @ lam)
+
+
 _FP_TOL = 1e-12
 _KKT_GATE = 1e-6
 
 
-def _certified(solution, days, x_hat, config, tariff):
-    """kkt_report's worst residual; RiskError above the 1e-6 gate."""
-    worst = kkt_report(solution, days, x_hat, config, tariff).max_residual
-    if worst > _KKT_GATE:
-        raise RiskError(f"optimality certificate failed: max scaled "
-                        f"residual {worst:g}")
-    return worst
-
-
-def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
-                        x_start=None, max_iters=500):
-    """Certified premium x = C * rev(lambda(x / sum_t D_t)) (cents).
+def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff,
+                           *, x_start=None, max_iters=500):
+    """Certified premium x = C * rev(lambda(x / sum_t D_t)) (cents), the
+    fixed point of x -> CL(lambda(x)) at the configured box ends.
 
     rev is the likelihood-weighted charging revenue at the station's
-    prices. Safeguarded Newton steps from x_start, by default the
-    closed-form premium (see the module docstring), run until
-    |f(x) - x| <= 1e-12 (1 + |x|). The quote's trace holds the residual
-    of each premium evaluated and iterations the price programs solved,
-    so len(trace) - iterations points were verified along an active set;
-    it carries the KKT certificate of its final solution.
-    FixedPointError after max_iters evaluations.
+    prices: the claim limit CL uses the original day likelihoods (the
+    insurer does not observe the station's tilted weights). Safeguarded
+    Newton steps from x_start, by default the closed-form premium (see
+    the module docstring), run until |f(x) - x| <= 1e-12 (1 + |x|). The
+    quote's trace holds the residual of each premium evaluated and
+    iterations the price programs solved, so len(trace) - iterations
+    points were verified along an active set; it carries the KKT
+    certificate of its final solution. FixedPointError after max_iters
+    evaluations.
     """
     policy = config.resolved_policy()
     c_comp = composite_C(policy)
@@ -679,8 +672,9 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
     if x_start is None:
         x_start = max(closed_form_premium(policy, days, tar).premium, 0.0)
     x = float(x_start)
-    if x < 0:
-        raise RiskError(f"x_start must be nonnegative, got {x_start}")
+    if not 0.0 <= x < np.inf:
+        raise RiskError(
+            f"x_start must be finite and nonnegative, got {x_start}")
 
     def gap(point):
         return c_comp * float(days.likelihood @ (days.demand_kw
@@ -697,10 +691,9 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
         # a verified point must also pass the gate, or its program runs
         worst = None if point is None or not abs(gap(point)) <= tol else \
             kkt_report(point, days, x / total, config, tariff).max_residual
-        if worst is None or worst > _KKT_GATE:
-            point = sol = solve_risk_averse_evcs(
-                days, x / total, config, tariff,
-                seed_cuts=None if sol is None else sol.active_cuts)
+        if worst is None or not worst <= _KKT_GATE:
+            point = sol = solve_risk_averse_evcs(days, x / total, config,
+                                                 tariff)
             x_sol, worst = x, None
             programs += 1
         g = gap(point)
@@ -721,19 +714,13 @@ def premium_fixed_point(days: TypicalDaySet, config: RiskConfig, tariff, *,
             f"iterations (last residual {trace[-1]:g})", trace)
 
     if worst is None:
-        worst = _certified(point, days, x / total, config, tariff)
+        worst = kkt_report(point, days, x / total, config,
+                           tariff).max_residual
+    if not worst <= _KKT_GATE:
+        raise RiskError(f"optimality certificate failed: max scaled "
+                        f"residual {worst:g}")
     return PremiumQuote(
         premium=x, per_kwh=x / total, charging_price=point.charging_price,
         bound_mode=config.bound_mode, alpha=config.alpha,
         trace=tuple(trace), iterations=programs, solution=point,
         kkt_max_residual=worst, total_demand=total)
-
-
-def robust_premium_bilevel(days: TypicalDaySet, config: RiskConfig, tariff):
-    """Fixed point of x -> CL(lambda(x)) at the configured box ends.
-
-    The claim limit CL uses the original day likelihoods (the insurer does
-    not observe the station's tilted weights); premium_fixed_point from
-    the closed-form start.
-    """
-    return premium_fixed_point(days, config, tariff)

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import SENSE_EQ, LinearProgram, solve_lp
+from .backend import SENSE_EQ, LinearProgram, solve_lp, worst_residual
 from .units import dollars_per_mwh_to_cents_per_kwh, kw_to_mw
 
 HOURS = 24
@@ -367,8 +367,8 @@ class DualCheckReport:
 
     @property
     def max_residual(self):
-        return max(self.gen_cost_balance, self.line_dual_balance,
-                   self.bus_dual_balance)
+        return worst_residual((self.gen_cost_balance,
+                               self.line_dual_balance, self.bus_dual_balance))
 
 
 def dual_feasibility_check(result: DlmpResult, network: Network):

@@ -192,9 +192,20 @@ def kernel_at_infinity(model: SmpModel):
     return k
 
 
+def _finite(name, values):
+    """values as a float array; SmpError at its first non-finite entry."""
+    arr = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise SmpError(f"{name} must be finite, got {float(arr[at])!r} at "
+                       f"index {at[0] if len(at) == 1 else at}")
+    return arr
+
+
 def stationary_embedded(kernel_inf):
     """Solve p = pP, sum(p)=1 for the embedded chain (forward convention)."""
-    p_mat = np.asarray(kernel_inf, dtype=float)
+    p_mat = _finite("kernel", kernel_inf)
     n = p_mat.shape[0]
     if p_mat.shape != (n, n):
         raise SmpError("kernel must be square")
@@ -243,8 +254,8 @@ def sojourn_times(model: SmpModel):
 
 def attack_probability(p, t):
     """Time-stationary state probabilities P_s = p_s T_s / sum(p T)."""
-    p = np.asarray(p, dtype=float)
-    t = np.asarray(t, dtype=float)
+    p = _finite("stationary vector", p)
+    t = _finite("sojourn times", t)
     if p.shape != (5,) or t.shape != (5,):
         raise SmpError("p and T must be 5-vectors")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -302,7 +313,7 @@ def fit_weibull(samples):
 
     after which the scale is (mean(x^b))^(1/b).
     """
-    x = np.asarray(samples, dtype=float)
+    x = _finite("samples", samples)
     if np.any(x <= 0):
         raise SmpError("samples must be positive")
     if np.unique(x).size < 3:

@@ -6,20 +6,20 @@ optimality conditions pin the distribution tariff before any premium or
 charging-price decision is made. Both solvers here exploit that.
 
 solve_trilevel_direct freezes the per-day tariffs at the station bus and
-runs the robust bi-level fixed point against them. ccg_solve runs the
-paper's column-and-constraint generation on the premium/price master for
-the one round it takes: the principal (min premium + |lambda|^2 subject to
-claim-loss coverage and tail feasibility) is the premium fixed point of
-cvar.premium_fixed_point, because the coverage row binds at any optimum
-(the objective is strictly increasing in the premium once lambda is chosen
-minimally); the subproblem recomputes the station's minimum-norm response
-at the principal's premium. With the tariff fixed both solve the same
-price program at the same premium, so their values premium + |price|^2
-agree and the round certifies the optimum; a bound gap above CCG_TOL is
-raised rather than iterated on. The grid blocks eliminated from the
-principal are verified verbatim on the composed solution: per-day primal
-feasibility, dual feasibility, and strong duality must all hold within
-1e-8.
+runs the robust bi-level fixed point against them. ccg_solve is that same
+quote, certified as the one round of the paper's column-and-constraint
+generation on the premium/price master: the principal (min premium +
+|lambda|^2 subject to claim-loss coverage and tail feasibility) is the
+premium fixed point of cvar.robust_premium_bilevel, because the coverage
+row binds at any optimum (the objective is strictly increasing in the
+premium once lambda is chosen minimally). Its value premium + |price|^2
+bounds the optimum from above; the price program's Lagrangian dual
+function at the quote's own multipliers bounds the station's best response
+at that premium from below (weak duality), so the subproblem needs no
+second program. A bound gap above CCG_TOL is raised rather than iterated
+on. The grid blocks eliminated from the principal are verified verbatim on
+the composed solution: per-day primal feasibility, dual feasibility, and
+strong duality must all hold within 1e-8.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import TypicalDaySet
-from .cvar import PremiumQuote, RiskConfig, RiskError, _certified, \
-    premium_fixed_point, robust_premium_bilevel, solve_risk_averse_evcs
+from .cvar import PremiumQuote, RiskConfig, RiskError, dual_value, \
+    robust_premium_bilevel
+from .backend import worst_residual
 from .dcopf import DcopfError, Network, _max_abs, dual_feasibility_check, \
     evcs_tariff_cents, per_day_dlmps
 
@@ -46,10 +47,11 @@ class TrilevelError(ValueError):
 class CcgState:
     """Bounds after one principal/subproblem round.
 
-    lower_bound is the subproblem value premium + |response|^2 and
-    upper_bound the principal value premium + |principal price|^2; the
-    response is the station's best reply at the principal's premium, so
-    lower <= upper.
+    upper_bound is the principal value premium + |principal price|^2 and
+    lower_bound premium plus the price program's dual function at the
+    principal's multipliers, which by weak duality is at most the value
+    of the station's best reply at that premium, so lower <= upper. A NaN
+    bound fails the check.
     """
 
     iteration: int
@@ -58,9 +60,9 @@ class CcgState:
     premium: float
 
     def __post_init__(self):
-        if self.iteration < 1:
+        if not self.iteration >= 1:
             raise TrilevelError("iterations count from 1")
-        if self.lower_bound > self.upper_bound + CCG_TOL * (
+        if not self.lower_bound <= self.upper_bound + CCG_TOL * (
                 1.0 + abs(self.upper_bound)) + 1e-9:
             raise TrilevelError(
                 f"lower bound {self.lower_bound:g} above upper bound "
@@ -90,7 +92,7 @@ class TrilevelQuote:
         if self.mode not in ("direct", "ccg"):
             raise TrilevelError(f"unknown mode {self.mode!r}")
         gaps = np.asarray(self.duality_gaps, dtype=float)
-        if gaps.size and float(gaps.max()) > DUALITY_GATE:
+        if gaps.size and not float(gaps.max()) <= DUALITY_GATE:
             raise TrilevelError(
                 f"embedded strong-duality gap {float(gaps.max()):g} "
                 f"exceeds {DUALITY_GATE:g}")
@@ -115,33 +117,32 @@ def single_level_residuals(network: Network, results) -> dict:
     block = network._hour_block
     n_g, n_b = len(network.generators), len(network.buses)
     gcap, fcap = block.upper[:n_g, None], block.upper[n_g + n_b:, None]
-    fam = dict.fromkeys(("balance", "flow_angle", "limits",
-                         "dual_stationarity", "dual_sign", "duality_gap"), 0.0)
+    fam = {name: [0.0] for name in ("balance", "flow_angle", "limits",
+                                    "dual_stationarity", "dual_sign",
+                                    "duality_gap")}
     for res in results:
         coupled = (block.reactance[:, None] * res.flows
                    - res.angles[block.line_from] + res.angles[block.line_to])
         over = (np.abs(res.flows) - fcap, res.dispatch - gcap, -res.dispatch)
         signs = (res.alpha_up, res.alpha_lo, res.delta_up, res.delta_lo)
-        day = {
-            "balance": res.balance_residual,
-            "flow_angle": _max_abs(coupled),
-            "limits": max(float(v.max(initial=0.0)) for v in over),
-            "dual_stationarity":
-                dual_feasibility_check(res, network).max_residual,
-            "dual_sign": max(float((-v).max(initial=0.0)) for v in signs),
-            "duality_gap": abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll)),
-        }
-        fam = {name: max(fam[name], day[name]) for name in fam}
-    return fam
+        fam["balance"].append(res.balance_residual)
+        fam["flow_angle"].append(_max_abs(coupled))
+        fam["limits"] += [float(v.max(initial=0.0)) for v in over]
+        fam["dual_stationarity"].append(
+            dual_feasibility_check(res, network).max_residual)
+        fam["dual_sign"] += [float((-v).max(initial=0.0)) for v in signs]
+        fam["duality_gap"].append(
+            abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll)))
+    return {name: worst_residual(values) for name, values in fam.items()}
 
 
 def _grid_blocks(network, days):
     """Per-day OPF results, station tariff table, and duality gaps."""
     results = per_day_dlmps(network, days)
     fam = single_level_residuals(network, results)
-    worst = max(fam.values())
-    if worst > DUALITY_GATE:
-        bad = max(fam, key=fam.get)
+    bad = next((name for name, value in fam.items()
+                if not value <= DUALITY_GATE), None)
+    if bad is not None:
         raise TrilevelError(
             f"grid block verification failed: {bad} residual "
             f"{fam[bad]:g} exceeds {DUALITY_GATE:g}")
@@ -164,41 +165,28 @@ def solve_trilevel_direct(network: Network, days: TypicalDaySet,
 def ccg_solve(network: Network, days: TypicalDaySet, config: RiskConfig):
     """One certified column-and-constraint generation round.
 
-    The principal is premium_fixed_point at the frozen tariff; the
-    subproblem is the station's minimum-norm response at the principal's
-    premium, seeded with the principal's active cuts. Their values
-    premium + |price|^2 bound the optimum from below (subproblem) and
-    above (principal). On this model they meet in round 1 whatever the
-    data: the grid level only passes the tariff up, so both solve the same
-    price program at the same premium, and the subproblem's program
-    rechecks a principal that ended on a verified Newton point. CCG needs
-    more rounds only when the recourse is coupled to the first-stage
-    decision (Zeng & Zhao, Oper. Res. Lett. 2013); here a relative gap
-    above CCG_TOL means that argument broke, and raises TrilevelError
-    instead of iterating.
+    The principal is solve_trilevel_direct's quote: premium + |price|^2 is
+    the upper bound, and premium + cvar.dual_value at the quote's own
+    multipliers the lower one (weak duality, see CcgState), so the
+    subproblem needs no second program. The grid level only passes the
+    tariff up, so the two meet whatever the data; CCG needs more rounds
+    only when the recourse is coupled to the first stage (Zeng & Zhao,
+    Oper. Res. Lett. 2013). A relative gap above CCG_TOL, which wrong
+    multipliers open, raises TrilevelError instead of iterating.
     """
-    results, tariff, gaps = _grid_blocks(network, days)
-    principal = premium_fixed_point(days, config, tariff)
-    premium, price_p = principal.premium, principal.charging_price
-    upper = premium + float(price_p @ price_p)
-    sub = solve_risk_averse_evcs(
-        days, principal.per_kwh, config, tariff,
-        seed_cuts=principal.solution.active_cuts)
-    lower = premium + float(sub.charging_price @ sub.charging_price)
-    state = CcgState(iteration=1, lower_bound=lower, upper_bound=upper,
-                     premium=premium)
-    if state.relative_gap > CCG_TOL:
+    direct = solve_trilevel_direct(network, days, config)
+    quote = direct.quote
+    price = quote.charging_price
+    state = CcgState(
+        iteration=1, premium=quote.premium,
+        lower_bound=quote.premium + dual_value(
+            quote.solution, days, quote.per_kwh, config, direct.tariff_cents),
+        upper_bound=quote.premium + float(price @ price))
+    if not state.relative_gap <= CCG_TOL:
         raise TrilevelError(
             f"CCG round 1 left a relative bound gap of "
             f"{state.relative_gap:g} (tolerance {CCG_TOL:g})")
-
-    quote = replace(principal, charging_price=sub.charging_price,
-                    iterations=principal.iterations + 1, solution=sub,
-                    kkt_max_residual=_certified(sub, days, principal.per_kwh,
-                                                config, tariff))
-    return TrilevelQuote(quote=quote, dlmp=tuple(results),
-                         tariff_cents=tariff, duality_gaps=gaps,
-                         mode="ccg", ccg_trace=(state,))
+    return replace(direct, mode="ccg", ccg_trace=(state,))
 
 
 @dataclass(frozen=True)

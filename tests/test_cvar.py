@@ -19,7 +19,7 @@ from evcs_premium.analytic import (
     premium_multiplier_M,
 )
 from evcs_premium.backend import SENSE_GE, SENSE_LE, ConvexQP, solve_qp
-from evcs_premium import cvar
+from evcs_premium import cvar, smp
 from evcs_premium.cvar import (
     FixedPointError,
     PolicyBox,
@@ -30,8 +30,8 @@ from evcs_premium.cvar import (
     cvar_sup,
     _cost_pieces,
     _day_tariff,
+    dual_value,
     kkt_report,
-    premium_fixed_point,
     robust_premium_bilevel,
     solve_risk_averse_evcs,
     worst_case_scenario_cost,
@@ -41,6 +41,7 @@ from evcs_premium.fixtures import (
     default_policy,
     default_risk_config,
     manhattan7,
+    reference_smp_model,
     typical_days,
 )
 
@@ -254,7 +255,7 @@ def _picard_premium(days, config, tariff):
 
 
 def _count_programs(monkeypatch):
-    """Route premium_fixed_point's price programs through a recorder;
+    """Route robust_premium_bilevel's price programs through a recorder;
     returns the list of (x_hat, solution) it fills."""
     calls = []
     solve = cvar.solve_risk_averse_evcs
@@ -382,7 +383,7 @@ def test_active_set_change_takes_the_fallback(monkeypatch):
     c_comp = composite_C(config.resolved_policy())
     total = float(days.weighted_demand.sum())
     calls = _count_programs(monkeypatch)
-    quote = premium_fixed_point(days, config, tariff, x_start=1000.0)
+    quote = robust_premium_bilevel(days, config, tariff, x_start=1000.0)
     (x0, start), (x1, _) = calls[0], calls[1]
     root = calls[-1][1]
     assert not np.array_equal(start.active_cuts, root.active_cuts)
@@ -410,7 +411,7 @@ def test_fixed_point_error_carries_trace(grid_tariff):
     days, config, tariff = _fixture_cells(grid_tariff)[4]
     with pytest.raises(FixedPointError, match="did not converge in 1 ") \
             as info:
-        premium_fixed_point(days, config, tariff, max_iters=1)
+        robust_premium_bilevel(days, config, tariff, max_iters=1)
     assert len(info.value.trace) == 1 and info.value.trace[0] > 0.0
 
 
@@ -418,7 +419,7 @@ def test_fixed_point_independent_of_start(grid_tariff):
     days = typical_days()
     config = default_risk_config(alpha=0.5, bound_mode="upper")
     a = robust_premium_bilevel(days, config, grid_tariff)
-    b = premium_fixed_point(days, config, grid_tariff, x_start=1000.0)
+    b = robust_premium_bilevel(days, config, grid_tariff, x_start=1000.0)
     assert abs(a.premium - b.premium) <= 1e-8 * (1.0 + a.premium)
 
 
@@ -447,7 +448,7 @@ def test_tail_constraint_binds_and_weights_tilt(grid_tariff):
     assert np.all(w >= -1e-9)
 
 
-def test_kkt_report_families(grid_tariff):
+def test_kkt_report_families(grid_tariff, monkeypatch):
     days = typical_days()
     config = default_risk_config(alpha=0.5)
     quote = robust_premium_bilevel(days, config, grid_tariff)
@@ -464,6 +465,15 @@ def test_kkt_report_families(grid_tariff):
         quote.solution, charging_price=quote.solution.charging_price * 1.01)
     rep2 = kkt_report(broken, days, quote.per_kwh, config, grid_tariff)
     assert rep2.max_residual > 1e-4
+    # a NaN family is the worst one, and both gates of the fixed point
+    # (on a verified point, then on the final program) refuse it
+    rep3 = kkt_report(quote.solution, days, np.nan, config, grid_tariff)
+    assert np.isnan(rep3.families["primal_scenario"])
+    assert np.isnan(rep3.max_residual)
+    monkeypatch.setattr(cvar, "kkt_report", lambda *args: rep3)
+    with pytest.raises(RiskError, match="certificate failed: max scaled "
+                                        "residual nan"):
+        robust_premium_bilevel(days, config, grid_tariff)
     with pytest.raises(RiskError, match="alpha"):
         kkt_report(quote.solution, days, quote.per_kwh,
                    default_risk_config(alpha=0.25), grid_tariff)
@@ -596,6 +606,50 @@ def test_non_finite_tariff_hour_rejected(bad):
         solve_risk_averse_evcs(days, 0.1, config, tariff)
     with pytest.raises(RiskError, match="day index 1 hour 1 is"):
         robust_premium_bilevel(days, config, tariff)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("x_hat nan", RiskError, "x_hat must be finite and nonnegative, got nan"),
+    ("x_hat inf", RiskError, "x_hat must be finite and nonnegative, got inf"),
+    ("x_start nan", RiskError, "x_start must be finite"),
+    ("cvar_sup weights", RiskError, "weights must be finite, got nan at "
+     "index 0"),
+    ("fit_weibull nan", smp.SmpError, "samples must be finite, got nan at "
+     "index 2"),
+    ("fit_weibull inf", smp.SmpError, "samples must be finite, got inf at "
+     "index 1"),
+    ("sojourn nan", smp.SmpError, "sojourn times must be finite, got nan "
+     "at index 3"),
+    ("kernel nan", smp.SmpError, r"kernel must be finite, got nan at "
+     r"index \(1, 2\)"),
+])
+def test_non_finite_inputs_raise_named_errors(case, error, message):
+    """A NaN or inf argument is refused by name (and first bad index)
+    before it can turn into NaN prices, a spinning fixed point or a bare
+    numpy or scipy error."""
+    policy, days, tariff = _tiny_instance()
+    config = _point_config(policy, 0.5)
+    embedded, chain = smp.run_chain(reference_smp_model())
+    kernel = embedded.kernel_inf.copy()
+    kernel[1, 2] = np.nan
+    sojourn = chain.sojourn.copy()
+    sojourn[3] = np.nan
+    calls = {
+        "x_hat nan": lambda: solve_risk_averse_evcs(days, np.nan, config,
+                                                    tariff),
+        "x_hat inf": lambda: solve_risk_averse_evcs(days, np.inf, config,
+                                                    tariff),
+        "x_start nan": lambda: robust_premium_bilevel(days, config, tariff,
+                                                      x_start=np.nan),
+        "cvar_sup weights": lambda: cvar_sup([1.0, 2.0], [np.nan, 1.0], 0.5),
+        "fit_weibull nan": lambda: smp.fit_weibull([1.0, 2.0, np.nan, 3.0]),
+        "fit_weibull inf": lambda: smp.fit_weibull([1.0, np.inf, 2.0, 3.0]),
+        "sojourn nan": lambda: smp.attack_probability(embedded.stationary,
+                                                      sojourn),
+        "kernel nan": lambda: smp.stationary_embedded(kernel),
+    }
+    with pytest.raises(error, match=message):
+        calls[case]()
 
 
 def test_configuration_validation():
@@ -734,6 +788,41 @@ def test_cutting_planes_match_interior_point_reference(program):
     assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
     assert kkt_report(sol, days, x_hat, config,
                       tariff).max_residual <= 1e-6
+    _assert_kkt_matches_loops(sol, days, x_hat, config, tariff)
+
+
+def _scaled_multipliers(solution, factor, days):
+    """solution with (eta, varphi, mu) scaled by factor and beta kept: a
+    point where stat_eta and stat_zeta still hold."""
+    varphi = factor * solution.varphi
+    eta = float(varphi.sum())
+    return dataclasses.replace(
+        solution, varphi=varphi, eta=eta,
+        mu=np.maximum(eta * days.likelihood - solution.alpha * varphi, 0.0))
+
+
+@given(_price_programs())
+def test_dual_value_bounds_the_program(program):
+    """The dual function at the solution's multipliers meets |lambda|^2 at
+    a certified solution, and at other multipliers (scaled by 0.9) it
+    lies below: the weak-duality bound the CCG round reads."""
+    days, x_hat, config, tariff = program
+    try:
+        sol = solve_risk_averse_evcs(days, x_hat, config, tariff)
+    except RiskInfeasibleError:
+        return
+    assert kkt_report(sol, days, x_hat, config, tariff).max_residual <= 1e-6
+    value = float(sol.charging_price @ sol.charging_price)
+    bound = dual_value(sol, days, x_hat, config, tariff)
+    assert bound <= value + 1e-12 * (1.0 + value)
+    assert abs(bound - value) <= 1e-9 * (1.0 + value)
+    lower = dual_value(_scaled_multipliers(sol, 0.9, days), days, x_hat,
+                       config, tariff)
+    # the dual function is a concave quadratic along the ray, flat at 1:
+    # the step to 0.9 costs |m D^T varphi|^2 / 400 >= |lambda|^2 / 100
+    assert lower <= bound
+    if value > 0.0:
+        assert bound - lower >= 0.005 * value
 
 
 def _drawn_program(alpha, rng):
@@ -780,35 +869,3 @@ def test_reference_qp_regressions(alpha, seed, status):
     if status == "optimal":
         lam = sol.charging_price
         assert np.abs(lam - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
-
-
-@given(_price_programs(), st.floats(0.0, 3.0))
-def test_seeded_cuts_match_cold_solve(program, x_seed):
-    """Seeded solves reproduce the cold one; kkt_report on the cold one
-    equals its loop reference bit for bit."""
-    days, x_hat, config, tariff = program
-    try:
-        cold = solve_risk_averse_evcs(days, x_hat, config, tariff)
-    except RiskInfeasibleError:
-        return
-    _assert_kkt_matches_loops(cold, days, x_hat, config, tariff)
-    earlier = solve_risk_averse_evcs(days, x_seed, config, tariff)
-    size = max(np.abs(cold.charging_price).max(), 1.0)
-    for seeds in (earlier.active_cuts, cold.active_cuts):
-        seeded = solve_risk_averse_evcs(days, x_hat, config, tariff,
-                                        seed_cuts=seeds)
-        assert np.abs(seeded.charging_price
-                      - cold.charging_price).max() <= 1e-12 * size
-        assert kkt_report(seeded, days, x_hat, config,
-                          tariff).max_residual <= 1e-6
-
-
-def test_seed_cuts_outside_the_envelope_rejected():
-    policy, days, tariff = _tiny_instance()
-    config = _point_config(policy, alpha=0.5)
-    for bad in (np.array([[0.5, 0.5, 0.0]]), np.array([[0.7, 0.2]]),
-                np.array([[0.1, 0.9]]),
-                np.array([[-0.2, 1.2]]), np.array([0.5, 0.5])):
-        with pytest.raises(RiskError, match="seed_cuts"):
-            solve_risk_averse_evcs(days, 0.5, config, tariff,
-                                   seed_cuts=bad)

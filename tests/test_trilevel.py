@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evcs_premium import trilevel
-from evcs_premium.cvar import premium_fixed_point, robust_premium_bilevel
+from evcs_premium import cvar, trilevel
+from evcs_premium.cvar import robust_premium_bilevel
 from evcs_premium.dcopf import Generator, Network, dual_feasibility_check, \
     per_day_dlmps
 from evcs_premium.fixtures import (
@@ -65,24 +65,47 @@ def test_ccg_bound_sequences_are_certified():
     slack = CCG_TOL * (1.0 + abs(state.upper_bound)) + 1e-9
     assert state.lower_bound <= state.upper_bound + slack
     assert state.relative_gap <= CCG_TOL
-    # the principal's fixed-point trace and programs, plus the subproblem
-    principal = premium_fixed_point(days, config, quote.tariff_cents)
+    # the principal's fixed-point trace and programs, and no other program
+    principal = robust_premium_bilevel(days, config, quote.tariff_cents)
     assert quote.quote.trace == principal.trace
-    assert quote.quote.iterations == principal.iterations + 1
+    assert quote.quote.iterations == principal.iterations
     assert quote.quote.kkt_max_residual <= 1e-6
 
 
+def test_ccg_runs_only_the_principals_programs(monkeypatch):
+    """The lower bound is read off the principal's multipliers, so the
+    round solves no price program beyond the quote's own."""
+    calls = []
+    solve = cvar.solve_risk_averse_evcs
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cvar, "solve_risk_averse_evcs", counted)
+    for alpha in (1.0, 0.5, 0.0):
+        calls.clear()
+        quote = ccg_solve(manhattan7(), typical_days(),
+                          default_risk_config(alpha=alpha))
+        assert len(calls) == quote.quote.iterations >= 1
+
+
 def test_ccg_open_gap_raises(monkeypatch):
-    """A subproblem response below the principal's price leaves a bound
-    gap; the round names it instead of iterating."""
-    solve = trilevel.solve_risk_averse_evcs
+    """Multipliers other than the principal's optimal ones (scaled by 0.9)
+    put the dual bound below the principal's value; the round names the
+    gap instead of iterating."""
+    solve = trilevel.robust_premium_bilevel
 
-    def perturbed(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol,
-                                   charging_price=0.9 * sol.charging_price)
+    def perturbed(days, config, tariff):
+        quote = solve(days, config, tariff)
+        sol = quote.solution
+        varphi = 0.9 * sol.varphi
+        eta = float(varphi.sum())
+        mu = np.maximum(eta * days.likelihood - sol.alpha * varphi, 0.0)
+        return dataclasses.replace(quote, solution=dataclasses.replace(
+            sol, varphi=varphi, eta=eta, mu=mu))
 
-    monkeypatch.setattr(trilevel, "solve_risk_averse_evcs", perturbed)
+    monkeypatch.setattr(trilevel, "robust_premium_bilevel", perturbed)
     with pytest.raises(TrilevelError, match="relative bound gap of") \
             as info:
         ccg_solve(manhattan7(), typical_days(),
@@ -114,6 +137,27 @@ def test_grid_residual_families():
                        "dual_stationarity", "dual_sign", "duality_gap"}
     for family, value in res.items():
         assert value <= 1e-8, family
+
+
+def test_grid_blocks_refuse_a_nan_flow(monkeypatch):
+    """One NaN flow on one day fails the grid-block gate by name: a NaN
+    residual never passes as the smaller one, in the day fold or in the
+    dual check's families."""
+    net, days = manhattan7(), typical_days()
+    results = per_day_dlmps(net, days)
+    flows = results[2].flows.copy()
+    flows[1, 5] = np.nan
+    broken = list(results)
+    broken[2] = dataclasses.replace(results[2], flows=flows)
+    fam = single_level_residuals(net, broken)
+    assert np.isnan(fam["flow_angle"]) and np.isnan(fam["limits"])
+    xi = results[0].xi.copy()
+    xi[0, 0] = np.nan
+    assert np.isnan(dual_feasibility_check(
+        dataclasses.replace(results[0], xi=xi), net).max_residual)
+    monkeypatch.setattr(trilevel, "per_day_dlmps", lambda *args: broken)
+    with pytest.raises(TrilevelError, match="flow_angle residual nan"):
+        trilevel._grid_blocks(net, days)
 
 
 def _single_level_loop_reference(network, results):
@@ -261,6 +305,10 @@ def test_state_and_quote_validation():
     with pytest.raises(TrilevelError, match="above upper bound"):
         CcgState(iteration=1, lower_bound=5.0, upper_bound=1.0,
                  premium=1.0)
+    for lower, upper in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(TrilevelError, match="above upper bound"):
+            CcgState(iteration=1, lower_bound=lower, upper_bound=upper,
+                     premium=1.0)
     good = CcgState(iteration=1, lower_bound=1.0, upper_bound=1.0 + 5e-7,
                     premium=1.0)
     assert good.relative_gap <= CCG_TOL
@@ -271,7 +319,8 @@ def test_state_and_quote_validation():
         TrilevelQuote(quote=quote.quote, dlmp=quote.dlmp,
                       tariff_cents=quote.tariff_cents,
                       duality_gaps=quote.duality_gaps, mode="bogus")
-    with pytest.raises(TrilevelError, match="strong-duality"):
-        TrilevelQuote(quote=quote.quote, dlmp=quote.dlmp,
-                      tariff_cents=quote.tariff_cents,
-                      duality_gaps=np.array([1e-5]), mode="direct")
+    for gaps in ([1e-5], [0.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(TrilevelError, match="strong-duality"):
+            TrilevelQuote(quote=quote.quote, dlmp=quote.dlmp,
+                          tariff_cents=quote.tariff_cents,
+                          duality_gaps=np.array(gaps), mode="direct")

@@ -11,14 +11,20 @@ alike. Pair i uses seed first_seed + i. A checkout is any directory with
 ``git archive <rev> | tar -x -C <dir>``; each run imports the engine from
 its own checkout.
 
+After the pairs, each checkout runs ``perfbench/run.py --trace 1`` once
+on the first seed, and the entry keeps that run's count metrics (every
+per-layer metric that is not a time or a percentage: solver calls per op,
+iterations, ratios, certificate headroom). They are taken over the
+workload's fixed prefix of inputs, so one run per side is exact.
+
 The output file keeps one entry per workload (or per ``--name``, e.g. a
 held-out seed), so several invocations can fill one file. Each entry
 holds every run's metrics and, per end-to-end metric of BENCHMARK.json,
 the median and quartiles of each side, the change's wins over the pairs,
-the ratio of the medians, and their gap beside the parent's IQR. The file
-also names both checkouts (git commit where known, and a digest of their
-sources) and records the interpreter and library versions the runs
-printed, and nproc.
+the ratio of the medians, and their gap beside the parent's IQR, and the
+traced counts of each side. The file also names both checkouts (git
+commit where known, and a digest of their sources) and records the
+interpreter and library versions the runs printed, and nproc.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# the traced run covers the workload's count prefix whatever its length
+TRACE_SECONDS = 1.0
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -75,11 +84,11 @@ def identify(path):
     return {"commit": head, "src_digest": h.hexdigest()}
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One perfbench run: (its final JSON record, its env line fields)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, capture_output=True, text=True,
                          cwd=str(checkout))
     lines = out.stdout.splitlines()
@@ -95,6 +104,13 @@ def run_once(checkout, workload, seed, seconds):
         for i, j in zip(at, at[1:] + [len(words)]):
             env[words[i]] = " ".join(words[i + 1:j])
     return json.loads(lines[-1]), env
+
+
+def traced_counts(checkout, workload, seed):
+    """The count metrics of one traced run (its timings are dropped)."""
+    record, _ = run_once(checkout, workload, seed, TRACE_SECONDS, trace=1)
+    return {k: v["value"] for k, v in record["metrics"].items()
+            if not v["unit"].startswith("s/") and v["unit"] != "%"}
 
 
 def quartiles(values):
@@ -151,6 +167,10 @@ def main(argv=None):
                 f"{k} {values[k]:.6g}" for k in metrics if k in values),
                 flush=True)
 
+    counts = {side: traced_counts(getattr(args, side), args.workload,
+                                  args.first_seed)
+              for side in ("parent", "change")}
+
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.update({
         "tool": "tools/bench_pairs.py",
@@ -163,7 +183,8 @@ def main(argv=None):
     doc.setdefault("workloads", {})[args.name or args.workload] = {
         "workload": args.workload, "seconds": args.seconds,
         "seeds": [args.first_seed + i for i in range(args.pairs)],
-        "env": envs, "runs": runs, "summary": summarize(runs, metrics)}
+        "env": envs, "runs": runs, "summary": summarize(runs, metrics),
+        "traced_counts": {"seed": args.first_seed, **counts}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in doc["workloads"][args.name or args.workload][
             "summary"].items():
@@ -172,6 +193,10 @@ def main(argv=None):
               f"change {s['change']['median']:.6g} "
               f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}] "
               f"ratio {s['ratio']:.4f} wins {s['wins']}/{s['pairs']}")
+    for name, value in counts["change"].items():
+        if value != counts["parent"].get(name):
+            print(f"traced {name}: parent {counts['parent'].get(name)} "
+                  f"change {value}")
     return 0
 
 
