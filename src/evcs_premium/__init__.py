@@ -48,7 +48,6 @@ from .dcopf import (
     dual_feasibility_check,
     evcs_tariff_cents,
     per_day_dlmps,
-    predetermined_tariff,
     solve_dcopf,
 )
 from .fixtures import (
@@ -92,7 +91,7 @@ __all__ = [
     "confidence_box", "cvar_sup", "default_policy", "default_risk_config",
     "demand_scaling_sweep", "dual_feasibility_check", "evcs_tariff_cents",
     "expected_breakeven_cost", "fit_weibull", "kkt_report", "manhattan7",
-    "per_day_dlmps", "predetermined_tariff", "reference_smp_model",
+    "per_day_dlmps", "reference_smp_model",
     "relative_box", "robust_premium_bilevel", "run_case", "run_chain",
     "sensitivity_sweep", "solve_dcopf", "solve_risk_averse_evcs",
     "solve_trilevel_direct", "typical_days",

@@ -150,7 +150,6 @@ class AnalyticSolution:
     per_kwh: premium per kWh of weighted demand, cents/kWh
     charging_price: schedule lam_c_t in cents/kWh, proportional to D_t
     omega: break-even multiplier of the charging-price stationarity
-    ul_multiplier: tariff passthrough multiplier (1 in this model)
     composite_c: the dimensionless claim-loss factor C
     """
 
@@ -158,7 +157,6 @@ class AnalyticSolution:
     per_kwh: float
     charging_price: np.ndarray
     omega: float
-    ul_multiplier: float
     composite_c: float
 
     @property
@@ -232,7 +230,7 @@ def closed_form_premium(policy: PolicyFactors, days: TypicalDaySet, tariff):
 
     return AnalyticSolution(premium=float(x), per_kwh=float(x_hat),
                             charging_price=lam_c, omega=float(omega),
-                            ul_multiplier=1.0, composite_c=float(c))
+                            composite_c=float(c))
 
 
 def claim_loss(policy: PolicyFactors, days: TypicalDaySet, charging_price):
@@ -280,29 +278,3 @@ def sensitivity_sweep(base: PolicyFactors, axis, grid, days: TypicalDaySet,
         out[i] = closed_form_premium(pol, days, tariff).per_kwh
     return out
 
-
-@dataclass(frozen=True)
-class ScalingComparison:
-    scale: float
-    premium_base: float
-    premium_scaled: float
-
-    @property
-    def ratio(self):
-        return self.premium_scaled / self.premium_base
-
-
-def demand_forecast_premium_monotonicity(policy: PolicyFactors,
-                                         days: TypicalDaySet, tariff, scale):
-    """Premium under scaled demand vs the original, at a fixed tariff.
-
-    The closed form is positively homogeneous of degree 1 in the demand,
-    which is what makes under-reporting the forecast profitable for the
-    station and why the comparison is exposed.
-    """
-    if scale <= 0:
-        raise AnalyticError("scale must be positive")
-    x0 = closed_form_premium(policy, days, tariff).premium
-    x1 = closed_form_premium(policy, days.scaled(scale), tariff).premium
-    return ScalingComparison(scale=float(scale), premium_base=x0,
-                             premium_scaled=x1)

@@ -161,10 +161,6 @@ class SolveResult:
     duals: np.ndarray | None
     reduced_lower: np.ndarray | None
     reduced_upper: np.ndarray | None
-    primal_infeasibility: float = np.nan
-    dual_infeasibility: float = np.nan
-    duality_gap: float = np.nan
-    comp_slack: float = np.nan
     iterations: int = 0
     message: str = ""
     certificate: Certificate | None = None
@@ -239,14 +235,11 @@ def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
 
 
 def _result(status, x, duals, red_lo, red_up, cert, iterations, basis):
-    """SolveResult with the certificate, worst or summed over its blocks."""
+    """SolveResult carrying the certificate, its objective summed over the
+    blocks."""
     return SolveResult(
         status, x, float(cert.objective.sum()), duals, red_lo, red_up,
-        primal_infeasibility=float(cert.primal_infeasibility.max()),
-        dual_infeasibility=float(cert.dual_infeasibility.max()),
-        duality_gap=float(cert.duality_gap.max()),
-        comp_slack=float(cert.comp_slack.sum()), iterations=iterations,
-        certificate=cert, basis=basis)
+        iterations=iterations, certificate=cert, basis=basis)
 
 
 def _highs_solve(prob, basis=None):

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import dataio
-from .cvar import kkt_report, robust_premium_bilevel
+from .cvar import BOUND_MODES, DEFAULT_ALPHAS, DEFAULT_SCALES, kkt_report, \
+    robust_premium_bilevel
 from .dcopf import HOURS
 from .fixtures import default_policy, default_risk_config, manhattan7, \
     reference_smp_model, typical_days
@@ -202,15 +203,13 @@ def build_parser():
                                            "tariff of --network)"}))
     cell = _parent(("--alpha", {"type": float, "default": 1.0}),
                    ("--bound", {"default": "expected",
-                                "choices": ("lower", "expected", "upper")}))
+                                "choices": BOUND_MODES}))
     box = _parent(("--policy-box", {"dest": "policy_box",
                                     "help": "policy-box JSON"}))
     matrix = _parent(
-        ("--scales", {"type": _float_list,
-                      "default": (1, 100, 400, 800, 1000)}),
-        ("--alphas", {"type": _float_list, "default": (1.0, 0.5, 0.0)}),
-        ("--bounds", {"type": _str_list,
-                      "default": ("lower", "expected", "upper")}))
+        ("--scales", {"type": _float_list, "default": DEFAULT_SCALES}),
+        ("--alphas", {"type": _float_list, "default": DEFAULT_ALPHAS}),
+        ("--bounds", {"type": _str_list, "default": BOUND_MODES}))
 
     p = sub.add_parser("smp", help="attack-chain probabilities")
     p.add_argument("--transitions", help="transition JSON")

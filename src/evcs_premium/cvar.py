@@ -86,6 +86,9 @@ from scipy.linalg import lapack
 from scipy.optimize import nnls
 
 BOUND_MODES = ("lower", "expected", "upper")
+# the default run matrix of the case study: demand scales and tail levels
+DEFAULT_SCALES = (1, 100, 400, 800, 1000)
+DEFAULT_ALPHAS = (1.0, 0.5, 0.0)
 
 
 class RiskError(ValueError):
@@ -200,8 +203,6 @@ class CvarSolution:
     varphi: np.ndarray           # (S,) scenario multipliers
     mu: np.ndarray               # (S,)
     beta: np.ndarray             # (T,)
-    cvar_value: float
-    tilted_weights: np.ndarray   # varphi / eta (original weights if eta = 0)
     alpha: float
     active_cuts: np.ndarray      # (k, S) risk-envelope vertices with y > 0
     price_slope: np.ndarray      # (T,) d lambda / d x_hat on that active set
@@ -210,8 +211,8 @@ class CvarSolution:
 
     def __post_init__(self):
         for name in ("charging_price", "zeta", "varphi", "mu", "beta",
-                     "tilted_weights", "active_cuts", "price_slope",
-                     "cut_multipliers", "multiplier_slope"):
+                     "active_cuts", "price_slope", "cut_multipliers",
+                     "multiplier_slope"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         for name in ("zeta", "varphi", "mu", "beta"):
@@ -221,16 +222,17 @@ class CvarSolution:
                 raise RiskError(f"{name} must be nonnegative, min {low}")
         if self.eta < -1e-9:
             raise RiskError(f"eta must be nonnegative, got {self.eta}")
+        # both identities scale with the multipliers, so their gates do too
         total, mu_sum = float(self.varphi.sum()), float(self.mu.sum())
-        if abs(total - self.eta) > 1e-7:
+        if not abs(total - self.eta) <= 1e-7 * (1.0 + self.eta):
             raise RiskError(
                 f"sum of scenario multipliers {total} must equal "
-                f"eta {self.eta} within 1e-7")
+                f"eta {self.eta} within 1e-7 (1 + eta)")
         lhs = (1.0 - self.alpha) * total
-        if abs(lhs - mu_sum) > 1e-6:
+        if not abs(lhs - mu_sum) <= 1e-6 * (1.0 + total):
             raise RiskError(
                 f"(1-alpha) sum(varphi) = {lhs} and sum(mu) = {mu_sum} "
-                "must agree within 1e-6")
+                "must agree within 1e-6 (1 + sum(varphi))")
 
 
 @dataclass(frozen=True)
@@ -319,22 +321,6 @@ def cvar_sup(costs, weights, alpha):
         raise RiskError("weights must be a probability vector")
     w, _ = _tail_vertex(costs, weights, alpha)
     return float(w @ costs)
-
-
-def worst_case_scenario_cost(demand_kw, charging_price, tariff, x_hat,
-                             gamma_p, risk_share, penalty_cents_per_kw):
-    """One day's net cost under attack probability gamma_p.
-
-    (1-G) sum_t d_t (lu_t - lc_t) + G sum_t d_t (rho_c - gamma lc_t)
-    + x_hat sum_t d_t, everything in cents.
-    """
-    d = np.asarray(demand_kw, dtype=float)
-    lc = np.asarray(charging_price, dtype=float)
-    lu = np.asarray(tariff, dtype=float)
-    return float((1.0 - gamma_p) * np.sum(d * (lu - lc))
-                 + gamma_p * np.sum(d * (penalty_cents_per_kw
-                                         - risk_share * lc))
-                 + x_hat * d.sum())
 
 
 def _day_tariff(days: TypicalDaySet, tariff):
@@ -511,14 +497,14 @@ def solve_risk_averse_evcs(days: TypicalDaySet, x_hat, config: RiskConfig,
     # only the returned master's slopes are computed
     dlam, dy = (np.zeros(n_hour), y) if slope is None else \
         slope(np.array(drhs))
-    return _solution(days, alpha, m, costs, w, last, lam, dlam,
+    return _solution(days, alpha, m, costs, last, lam, dlam,
                      np.array(cuts).reshape(-1, n_day), y / d_ref,
                      dy / d_ref)
 
 
-def _solution(days, alpha, m, costs, w, last, lam, dlam, cuts, y, dy):
-    """CvarSolution at prices lam with day costs costs, tail vertex w
-    (filled by day last) and multipliers y >= 0 of the rows of cuts."""
+def _solution(days, alpha, m, costs, last, lam, dlam, cuts, y, dy):
+    """CvarSolution at prices lam with day costs costs, whose tail vertex
+    is filled by day last, and multipliers y >= 0 of the rows of cuts."""
     phi = days.likelihood
     varphi = y @ cuts
     eta = float(varphi.sum())
@@ -530,14 +516,11 @@ def _solution(days, alpha, m, costs, w, last, lam, dlam, cuts, y, dy):
     else:
         v = float(costs[last])
         zeta = np.maximum(costs - v, 0.0) / alpha
-    tilted = varphi / eta if eta > 1e-12 else phi.copy()
     keep = y > 0.0
     return CvarSolution(charging_price=lam, v=v, zeta=zeta, eta=eta,
-                        varphi=varphi, mu=mu, beta=beta,
-                        cvar_value=float(w @ costs), tilted_weights=tilted,
-                        alpha=alpha, active_cuts=cuts[keep],
-                        price_slope=dlam, cut_multipliers=y[keep],
-                        multiplier_slope=dy[keep])
+                        varphi=varphi, mu=mu, beta=beta, alpha=alpha,
+                        active_cuts=cuts[keep], price_slope=dlam,
+                        cut_multipliers=y[keep], multiplier_slope=dy[keep])
 
 
 def _along_active_set(sol, step, days, x_hat, config, tar):
@@ -555,7 +538,7 @@ def _along_active_set(sol, step, days, x_hat, config, tar):
     if float(w @ costs) > 0.0 and not np.any(
             np.all(sol.active_cuts == w, axis=1)):
         return None
-    return _solution(days, config.alpha, m, costs, w, last, lam,
+    return _solution(days, config.alpha, m, costs, last, lam,
                      sol.price_slope, sol.active_cuts, y,
                      sol.multiplier_slope)
 

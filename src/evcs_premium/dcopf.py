@@ -390,20 +390,6 @@ def _max_abs(values):
     return float(np.abs(values).max(initial=0.0))
 
 
-def predetermined_tariff(network: Network, days):
-    """Likelihood-weighted (bus, hour) DLMP table in $/MWh.
-
-    Solves each typical day's OPF with the day's baseline EVCS demand and
-    collapses the per-day DLMPs with the day likelihoods. The result is fixed
-    before any charging-price decision, so it does not react to them.
-    """
-    results = per_day_dlmps(network, days)
-    table = np.zeros((len(network.buses), HOURS))
-    for s, day in enumerate(days.day_ids):
-        table += days.likelihood[s] * results[s].dlmp
-    return table
-
-
 def per_day_dlmps(network: Network, days):
     """Solve every typical day with its EVCS demand; list of DlmpResult.
 

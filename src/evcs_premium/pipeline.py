@@ -21,7 +21,8 @@ import numpy as np
 
 from . import dataio
 from .analytic import closed_form_premium, sensitivity_sweep
-from .cvar import BOUND_MODES, robust_premium_bilevel
+from .cvar import BOUND_MODES, DEFAULT_ALPHAS, DEFAULT_SCALES, \
+    robust_premium_bilevel
 from .fixtures import PUBLISHED_SOJOURN, default_policy, \
     default_risk_config, manhattan7, published_embedded_stationary, \
     published_reference_notes, reference_smp_model, typical_days
@@ -52,9 +53,9 @@ class CaseConfig:
     transitions_path: str | None = None
     policy_path: str | None = None
     policy_box_path: str | None = None
-    alphas: tuple = (1.0, 0.5, 0.0)
-    bounds: tuple = ("lower", "expected", "upper")
-    scales: tuple = (1, 100, 400, 800, 1000)
+    alphas: tuple = DEFAULT_ALPHAS
+    bounds: tuple = BOUND_MODES
+    scales: tuple = DEFAULT_SCALES
     confidence_epsilon: float = 0.10
 
     def __post_init__(self):

@@ -95,10 +95,6 @@ class ConfidenceBox:
     lower: float
     upper: float
     center: float
-    level: float
-    n_obs: int
-    sigma: float
-    method: str = "t"
 
 
 def weibull_cdf(t, dist: WeibullDist):
@@ -143,10 +139,15 @@ def _pdf(t, dist):
 
 def _quad(integrand, *dists):
     """quad over [0, t_max], t_max the 1-1e-9 quantile of the slowest of
-    dists, with the chain's fixed tolerances."""
-    t_max = max(d.quantile(1.0 - _TAIL_MASS) for d in dists)
+    dists, with the chain's fixed tolerances. Each clock's scale and the
+    faster clocks' quantiles are breakpoints: on a range a heavy-tailed
+    clock stretches far past a sharp one, quad's first nodes would miss
+    the sharp clock's mass."""
+    ends = [d.quantile(1.0 - _TAIL_MASS) for d in dists]
+    t_max = max(ends)
+    points = sorted({*ends, *(d.scale for d in dists)} - {t_max})
     return integrate.quad(integrand, 0.0, t_max, epsabs=_QUAD_ABSTOL,
-                          epsrel=1e-12, limit=400)
+                          epsrel=1e-12, limit=400, points=points)
 
 
 def competing_transition_prob(winner: WeibullDist, survivor=None, *,
@@ -285,8 +286,7 @@ def confidence_box(center, sigma, n, xi):
     lower = center - half
     if 0.0 <= center <= 1.0:
         lower = max(lower, 0.0)  # boxes on probabilities stay nonnegative
-    return ConfidenceBox(lower=lower, upper=center + half, center=center,
-                         level=xi, n_obs=int(n), sigma=float(sigma), method="t")
+    return ConfidenceBox(lower=lower, upper=center + half, center=center)
 
 
 def relative_box(center, eps):
@@ -300,8 +300,7 @@ def relative_box(center, eps):
     if 0.0 <= center <= 1.0:
         lower = max(lower, 0.0)
     return ConfidenceBox(lower=lower, upper=center * (1.0 + eps),
-                         center=center, level=0.0, n_obs=1,
-                         sigma=center * eps, method="relative")
+                         center=center)
 
 
 def fit_weibull(samples):
@@ -337,12 +336,6 @@ def fit_weibull(samples):
     shape = brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12)
     scale = float(np.mean(x ** shape) ** (1.0 / shape))
     return WeibullDist(shape=float(shape), scale=scale)
-
-
-def weibull_log_likelihood(samples, dist: WeibullDist):
-    x = np.asarray(samples, dtype=float)
-    b, a = dist.shape, dist.scale
-    return float(np.sum(np.log(b / a) + (b - 1.0) * np.log(x / a) - (x / a) ** b))
 
 
 def run_chain(model: SmpModel):

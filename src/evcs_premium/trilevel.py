@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import TypicalDaySet
-from .cvar import PremiumQuote, RiskConfig, RiskError, dual_value, \
-    robust_premium_bilevel
+from .cvar import BOUND_MODES, DEFAULT_ALPHAS, DEFAULT_SCALES, \
+    PremiumQuote, RiskConfig, RiskError, dual_value, robust_premium_bilevel
 from .backend import worst_residual
 from .dcopf import DcopfError, Network, _max_abs, dual_feasibility_check, \
     evcs_tariff_cents, per_day_dlmps
@@ -203,10 +203,8 @@ class SweepRow:
 
 
 def demand_scaling_sweep(network: Network, days: TypicalDaySet,
-                         config: RiskConfig, *,
-                         scales=(1, 100, 400, 800, 1000),
-                         alphas=(1.0, 0.5, 0.0),
-                         bounds=("lower", "expected", "upper"),
+                         config: RiskConfig, *, scales=DEFAULT_SCALES,
+                         alphas=DEFAULT_ALPHAS, bounds=BOUND_MODES,
                          quotes=None):
     """Premium grid over demand scale, tail level, and factor bounds.
 
@@ -260,7 +258,10 @@ def check_sweep_monotonicity(rows, slack=1e-9):
     nonincreasing in alpha within each (scale, bound); the upper-lower
     bound spread of x_hat nondecreasing as alpha falls, and strictly
     wider at the smallest alpha than at the largest, within each scale.
+    A non-finite slack raises TrilevelError.
     """
+    if not np.isfinite(slack):
+        raise TrilevelError(f"slack must be finite, got {slack!r}")
     cells = {(r.scale, r.alpha, r.bound): r for r in rows if r.feasible}
     scales = sorted({r.scale for r in rows})
     alphas = sorted({r.alpha for r in rows}, reverse=True)

@@ -14,7 +14,6 @@ from evcs_premium.analytic import (
     claim_loss,
     closed_form_premium,
     composite_C,
-    demand_forecast_premium_monotonicity,
     expected_breakeven_cost,
     premium_multiplier_M,
     sensitivity_sweep,
@@ -81,7 +80,6 @@ def test_price_proportional_to_weighted_demand(grid_tariff):
     m = premium_multiplier_M(default_policy())
     assert_allclose(sol.charging_price, 0.5 * sol.omega * m * d_t,
                     rtol=1e-13)
-    assert sol.ul_multiplier == 1.0
 
 
 def test_revenue_identity(grid_tariff):
@@ -99,15 +97,12 @@ def test_revenue_identity(grid_tariff):
 def test_demand_homogeneity(grid_tariff):
     policy = default_policy()
     days = typical_days()
-    comp = demand_forecast_premium_monotonicity(policy, days, grid_tariff,
-                                                2.5)
-    assert_allclose(comp.ratio, 2.5, rtol=1e-12)
     sol = closed_form_premium(policy, days, grid_tariff)
     scaled = closed_form_premium(policy, days.scaled(2.5), grid_tariff)
+    assert_allclose(scaled.premium / sol.premium, 2.5, rtol=1e-12)
     assert_allclose(scaled.per_kwh, sol.per_kwh, rtol=1e-12)
-    with pytest.raises(AnalyticError, match="scale must be positive"):
-        demand_forecast_premium_monotonicity(policy, days, grid_tariff,
-                                             0.0)
+    with pytest.raises(AnalyticError, match="scale factor must be positive"):
+        days.scaled(0.0)
 
 
 def test_anchor_values(grid_tariff):

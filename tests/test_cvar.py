@@ -34,7 +34,6 @@ from evcs_premium.cvar import (
     kkt_report,
     robust_premium_bilevel,
     solve_risk_averse_evcs,
-    worst_case_scenario_cost,
 )
 from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import (
@@ -44,6 +43,22 @@ from evcs_premium.fixtures import (
     reference_smp_model,
     typical_days,
 )
+
+
+def worst_case_scenario_cost(demand_kw, charging_price, tariff, x_hat,
+                             gamma_p, risk_share, penalty_cents_per_kw):
+    """Reference: one day's net cost under attack probability gamma_p.
+
+    (1-G) sum_t d_t (lu_t - lc_t) + G sum_t d_t (rho_c - gamma lc_t)
+    + x_hat sum_t d_t, everything in cents.
+    """
+    d = np.asarray(demand_kw, dtype=float)
+    lc = np.asarray(charging_price, dtype=float)
+    lu = np.asarray(tariff, dtype=float)
+    return float((1.0 - gamma_p) * np.sum(d * (lu - lc))
+                 + gamma_p * np.sum(d * (penalty_cents_per_kw
+                                         - risk_share * lc))
+                 + x_hat * d.sum())
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +154,8 @@ def test_price_program_against_grid_search():
     flat = np.argmin(np.where(feasible, obj, np.inf))
     lam_grid = np.array([l1.flat[flat], l2.flat[flat]])
     assert np.abs(sol.charging_price - lam_grid).max() <= 5.0 * step
-    assert sol.cvar_value <= 1e-7 * (1.0 + abs(a1))
+    day_costs = np.array([a1, a2]) - m * (days.demand_kw @ sol.charging_price)
+    assert cvar_sup(day_costs, days.likelihood, 0.7) <= 1e-7 * (1.0 + abs(a1))
 
 
 def test_scenario_duals_match_finite_differences():
@@ -437,15 +453,33 @@ def test_tail_constraint_binds_and_weights_tilt(grid_tariff):
                                  policy.p_attack, policy.risk_share,
                                  policy.penalty_cents_per_kw())
         for s in range(days.n_days)])
+    m, a = _cost_pieces(days, quote.per_kwh, policy,
+                        _day_tariff(days, grid_tariff))
     scale = 1.0 + float(np.abs(costs).max())
-    assert abs(cvar_sup(costs, days.likelihood, 0.5) - sol.cvar_value) \
-        <= 1e-7 * scale
-    assert abs(sol.cvar_value) <= 1e-6 * scale  # binding at the optimum
+    assert np.abs(costs - (a - m * (days.demand_kw @ sol.charging_price))
+                  ).max() <= 1e-12 * scale
+    # binding at the optimum
+    assert abs(cvar_sup(costs, days.likelihood, 0.5)) <= 1e-6 * scale
 
-    w = sol.tilted_weights
+    w = sol.varphi / sol.eta
     assert_allclose(w.sum(), 1.0, atol=1e-7)
     assert np.all(w <= days.likelihood / 0.5 + 1e-7)
     assert np.all(w >= -1e-9)
+
+
+def test_multiplier_identities_scale_with_eta(grid_tariff):
+    sol = robust_premium_bilevel(typical_days(), default_risk_config(0.5),
+                                 grid_tariff).solution
+    k = 1e9 / sol.eta
+    varphi, mu = k * sol.varphi, k * sol.mu
+    total = float(varphi.sum())
+    # a valid set near eta = 1e9, eta off its sum by two ulps (2.4e-7)
+    big = dataclasses.replace(sol, varphi=varphi, mu=mu,
+                              eta=total + 2.0 * np.spacing(total))
+    with pytest.raises(RiskError, match="must equal eta"):
+        dataclasses.replace(big, eta=1.01 * total)
+    with pytest.raises(RiskError, match="must agree"):
+        dataclasses.replace(big, mu=1.01 * mu)
 
 
 def test_kkt_report_families(grid_tariff, monkeypatch):

@@ -17,7 +17,6 @@ from evcs_premium.dcopf import (
     dual_feasibility_check,
     evcs_tariff_cents,
     per_day_dlmps,
-    predetermined_tariff,
     solve_dcopf,
 )
 from evcs_premium.fixtures import manhattan7, typical_days
@@ -320,8 +319,6 @@ def test_single_bus_tariff_is_the_marginal_cost():
     days = TypicalDaySet(likelihood=np.array([0.5, 0.5]),
                          demand_kw=np.full((2, 24), 200.0),
                          day_ids=("a", "b"))
-    table = predetermined_tariff(net, days)
-    assert_allclose(table, 7.0, atol=1e-9)
     # 7 $/MWh is 0.7 cents per kWh
     assert_allclose(evcs_tariff_cents(net, per_day_dlmps(net, days)), 0.7,
                     atol=1e-10)

@@ -30,6 +30,13 @@ SOJOURN = np.array([16.66899628241726, 13.343142634080118, 16.604277631835103,
 P_ATTACK_FULL = 0.026122009541097616
 
 
+def weibull_log_likelihood(samples, dist):
+    """Reference log-likelihood of samples under a Weibull distribution."""
+    x = np.asarray(samples, dtype=float)
+    b, a = dist.shape, dist.scale
+    return float(np.sum(np.log(b / a) + (b - 1.0) * np.log(x / a) - (x / a) ** b))
+
+
 def closed_form_stationary(q):
     """Hand-derived stationary vector of the attack-chain embedded matrix.
 
@@ -59,6 +66,18 @@ def fixed_grid_competing(winner, survivor, n):
     f[0] = 0.0
     f[1:] = (smp.weibull_survival(t[1:], survivor)
              * smp.weibull_pdf(t[1:], winner) * 5.0 * u[1:] ** 4)
+    h = u[1] - u[0]
+    return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+def log_grid_competing(winner, survivor, n=200_000):
+    """Composite Simpson on t = e^u from e^-200: the substitution gives a
+    heavy clock's singular start and a sharp clock's narrow peak stretches
+    of u of comparable width."""
+    t_max = max(d.quantile(1.0 - 1e-9) for d in (winner, survivor))
+    u = np.linspace(-200.0, np.log(t_max), 2 * n + 1)
+    t = np.exp(u)
+    f = smp.weibull_survival(t, survivor) * smp.weibull_pdf(t, winner) * t
     h = u[1] - u[0]
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
 
@@ -150,9 +169,11 @@ def _vectorized_quad(integrand, a, b):
     """The chain's quadrature over an integrand built from the public
     vectorized pdf and survival: the reference for its scalar integrands.
     Returns quad's value and error estimate."""
-    t_max = max(d.quantile(1.0 - 1e-9) for d in (a, b))
+    ends = [d.quantile(1.0 - 1e-9) for d in (a, b)]
+    t_max = max(ends)
+    points = sorted({*ends, a.scale, b.scale} - {t_max})
     return integrate.quad(integrand, 0.0, t_max, epsabs=1e-9, epsrel=1e-12,
-                          limit=400)
+                          limit=400, points=points)
 
 
 def _vectorized_split(winner, survivor):
@@ -178,37 +199,46 @@ class TestScalarIntegrands:
         t_i = smp.sojourn_times(model)[1]
         assert abs(t_i - _vectorized_sojourn(d_id, d_if)) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_drawn_pairs_match_vectorized(self):
         # Not bitwise: numpy's exp and libm's differ by an ulp at some
-        # points, and at shape < 0.42 that moves quad's subdivision.
-        # Some pairs of a sharp clock and a heavy-tailed one defeat the
-        # quadrature on the truncated range (no mass found, or no
-        # convergence); there the scalar path must fail the same way.
+        # points, and at shape < 0.42 that moves quad's subdivision. Every
+        # pair converges, a sharp clock against a heavy-tailed one included,
+        # and its split sums to one within the two error bounds.
         rng = np.random.default_rng(1212)
         base = reference_smp_model().transitions
         for _ in range(200):
             a, b = (smp.WeibullDist(float(rng.uniform(0.3, 5.0)),
                                     float(rng.uniform(0.5, 50.0)))
                     for _ in range(2))
+            total, bound = 0.0, 0.0
             for winner, survivor in ((a, b), (b, a)):
                 reference, reference_err = _vectorized_split(winner, survivor)
-                if reference_err > 1e-6:
-                    with pytest.raises(smp.SmpError, match="converge"):
-                        smp.competing_transition_prob(winner, survivor)
-                    continue
+                assert reference_err <= 1e-6, (winner, survivor)
                 value, err = smp.competing_transition_prob(
                     winner, survivor, with_error=True)
                 diff = abs(value - reference)
                 assert diff <= 1e-11 and diff < err, (winner, survivor)
-            reference = _vectorized_sojourn(a, b)
+                total, bound = total + value, bound + err
+            assert abs(total - 1.0) <= bound, (a, b)
             model = smp.SmpModel({**base, "ID": a, "IF": b})
-            if reference > 0.0:
-                t_i = smp.sojourn_times(model)[1]
-                assert abs(t_i - reference) <= 1e-11, (a, b)
-            else:
-                with pytest.raises(smp.SmpError, match="positive"):
-                    smp.sojourn_times(model)
+            t_i = smp.sojourn_times(model)[1]
+            assert abs(t_i - _vectorized_sojourn(a, b)) <= 1e-11, (a, b)
+
+    def test_sharp_clock_against_a_heavy_tail(self):
+        # the heavy clock's range is 3,000 times the sharp clock's, so
+        # quad's first nodes on it can miss the sharp clock's mass
+        heavy = smp.WeibullDist(shape=0.369, scale=43.3)
+        sharp = smp.WeibullDist(shape=4.91, scale=47.9)
+        k_id = smp.competing_transition_prob(heavy, sharp)
+        k_if = smp.competing_transition_prob(sharp, heavy)
+        assert k_id > 0.0 and k_if > 0.0
+        assert abs(k_id + k_if - 1.0) <= 1e-9
+        assert abs(k_id - log_grid_competing(heavy, sharp)) <= 1e-9
+        assert abs(k_if - log_grid_competing(sharp, heavy)) <= 1e-9
+        model = smp.SmpModel({**reference_smp_model().transitions,
+                              "ID": heavy, "IF": sharp})
+        kernel = smp.kernel_at_infinity(model)
+        assert abs(kernel[1, 2] - k_id) <= 1e-9
 
     def test_overflow_reads_as_the_limit(self):
         # (t/scale)^shape leaves the float range inside [0, t_max]: math's
@@ -404,10 +434,10 @@ class TestFitWeibull:
         rng = np.random.default_rng(5)
         samples = 4.0 * rng.weibull(2.5, size=500)
         fit = smp.fit_weibull(samples)
-        best = smp.weibull_log_likelihood(samples, fit)
+        best = weibull_log_likelihood(samples, fit)
         for db, da in ((0.05, 0.0), (-0.05, 0.0), (0.0, 0.1), (0.0, -0.1)):
             other = smp.WeibullDist(fit.shape + db, fit.scale + da)
-            assert smp.weibull_log_likelihood(samples, other) <= best + 1e-9
+            assert weibull_log_likelihood(samples, other) <= best + 1e-9
 
     def test_degenerate_samples_rejected(self):
         with pytest.raises(smp.SmpError):

@@ -298,6 +298,14 @@ def test_monotonicity_checker_catches_violations():
     assert len(violations) == 2  # both columns decrease with scale
 
 
+@pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf])
+def test_monotonicity_checker_refuses_non_finite_slack(slack):
+    rows = [SweepRow(1.0, 1.0, "expected", 2.0, 1.0),
+            SweepRow(100.0, 1.0, "expected", 2.0, 0.5)]
+    with pytest.raises(TrilevelError, match="slack must be finite"):
+        check_sweep_monotonicity(rows, slack=slack)
+
+
 def test_state_and_quote_validation():
     with pytest.raises(TrilevelError, match="count from 1"):
         CcgState(iteration=0, lower_bound=0.0, upper_bound=1.0,

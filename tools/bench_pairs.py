@@ -12,19 +12,22 @@ alike. Pair i uses seed first_seed + i. A checkout is any directory with
 its own checkout.
 
 After the pairs, each checkout runs ``perfbench/run.py --trace 1`` once
-on the first seed, and the entry keeps that run's count metrics (every
-per-layer metric that is not a time or a percentage: solver calls per op,
-iterations, ratios, certificate headroom). They are taken over the
-workload's fixed prefix of inputs, so one run per side is exact.
+on the first seed, as long as the pairs' runs, and the entry keeps that
+run's count metrics (every per-layer metric that is not a time or a
+percentage: solver calls per op, iterations, ratios, certificate
+headroom) as ``traced_counts``. They are taken over the workload's fixed
+prefix of inputs, so one run per side is exact. The traced run's wall
+time, the tracer's own post-processing included, is kept per side as
+``traced_wall_s``.
 
 The output file keeps one entry per workload (or per ``--name``, e.g. a
 held-out seed), so several invocations can fill one file. Each entry
 holds every run's metrics and, per end-to-end metric of BENCHMARK.json,
 the median and quartiles of each side, the change's wins over the pairs,
 the ratio of the medians, and their gap beside the parent's IQR, and the
-traced counts of each side. The file also names both checkouts (git
-commit where known, and a digest of their sources) and records the
-interpreter and library versions the runs printed, and nproc.
+traced counts and wall time of each side. The file also names both
+checkouts (git commit where known, and a digest of their sources) and
+records the interpreter and library versions the runs printed, and nproc.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-# the traced run covers the workload's count prefix whatever its length
-TRACE_SECONDS = 1.0
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -106,11 +108,14 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     return json.loads(lines[-1]), env
 
 
-def traced_counts(checkout, workload, seed):
-    """The count metrics of one traced run (its timings are dropped)."""
-    record, _ = run_once(checkout, workload, seed, TRACE_SECONDS, trace=1)
+def traced_run(checkout, workload, seed, seconds):
+    """The count metrics of one traced run (its timings are dropped) and
+    the run's wall time in seconds."""
+    start = time.perf_counter()
+    record, _ = run_once(checkout, workload, seed, seconds, trace=1)
+    wall = time.perf_counter() - start
     return {k: v["value"] for k, v in record["metrics"].items()
-            if not v["unit"].startswith("s/") and v["unit"] != "%"}
+            if not v["unit"].startswith("s/") and v["unit"] != "%"}, wall
 
 
 def quartiles(values):
@@ -167,9 +172,11 @@ def main(argv=None):
                 f"{k} {values[k]:.6g}" for k in metrics if k in values),
                 flush=True)
 
-    counts = {side: traced_counts(getattr(args, side), args.workload,
-                                  args.first_seed)
+    traced = {side: traced_run(getattr(args, side), args.workload,
+                               args.first_seed, args.seconds)
               for side in ("parent", "change")}
+    counts = {side: c for side, (c, _) in traced.items()}
+    walls = {side: w for side, (_, w) in traced.items()}
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.update({
@@ -184,7 +191,8 @@ def main(argv=None):
         "workload": args.workload, "seconds": args.seconds,
         "seeds": [args.first_seed + i for i in range(args.pairs)],
         "env": envs, "runs": runs, "summary": summarize(runs, metrics),
-        "traced_counts": {"seed": args.first_seed, **counts}}
+        "traced_counts": {"seed": args.first_seed, **counts},
+        "traced_wall_s": walls}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in doc["workloads"][args.name or args.workload][
             "summary"].items():
@@ -193,6 +201,8 @@ def main(argv=None):
               f"change {s['change']['median']:.6g} "
               f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}] "
               f"ratio {s['ratio']:.4f} wins {s['wins']}/{s['pairs']}")
+    print(f"traced run ({args.seconds:g} s, seed {args.first_seed}) wall "
+          f"parent {walls['parent']:.1f} s change {walls['change']:.1f} s")
     for name, value in counts["change"].items():
         if value != counts["parent"].get(name):
             print(f"traced {name}: parent {counts['parent'].get(name)} "
