@@ -105,8 +105,8 @@ class TypicalDaySet:
             if bad.size:
                 at = tuple(int(i) for i in bad[0])
                 raise AnalyticError(
-                    f"{name} must be finite, got {arr[at]!r} at index "
-                    f"{at[0] if len(at) == 1 else at}")
+                    f"{name} must be finite, got {float(arr[at])!r} at "
+                    f"index {at[0] if len(at) == 1 else at}")
         if d.shape[0] != phi.size:
             raise AnalyticError(
                 f"{phi.size} likelihoods but {d.shape[0]} demand rows")

@@ -335,7 +335,7 @@ def _day_tariff(days: TypicalDaySet, tariff):
     if not finite.all():
         s, t = np.argwhere(~finite)[0]
         raise RiskError(f"tariff must be finite: day index {s} hour {t + 1} "
-                        f"is {tar[s, t]!r}")
+                        f"is {float(tar[s, t])!r}")
     return tar
 
 

@@ -1,10 +1,12 @@
 """File formats: typical-day CSV, network/transition/policy JSON, tariffs.
 
-Every emitted CSV opens with one '#' comment line naming the content and
-its units, followed by the column header; loaders skip comment lines.
-Parse errors name the offending 1-based file row. Floats are written with
-repr so re-ingesting an emitted file reproduces the in-memory values
-exactly, and JSON is dumped with sorted keys so reruns are byte-identical.
+Every emitted CSV goes through one writer, _write_csv: a '#' comment line
+naming the content and its units, the column header, then the rows, each
+line ended by LF and each cell quoted by the csv module where it holds a
+comma or a quote. Loaders skip comment lines; parse errors name the file
+and the offending 1-based row. Floats are written with repr so
+re-ingesting an emitted file reproduces the in-memory values exactly, and
+JSON is dumped with sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,14 +26,30 @@ class DataError(ValueError):
     pass
 
 
-def _fmt(value):
-    return repr(float(value))
+def _write_csv(path, comment, header, rows):
+    """comment (a whole '#' line), header, then rows; LF line ends."""
+    with open(path, "w", newline="") as fh:
+        fh.write(comment + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path, kind):
+    """The JSON object in path; DataError naming path for anything else."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed {kind} document ({exc})") \
+            from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: malformed {kind} document (not an object)")
+    return doc
 
 
 def _check_finite(path, rownum, name, value):
@@ -128,20 +146,15 @@ def load_typical_days(path) -> TypicalDaySet:
 
 
 def write_typical_days(path, days: TypicalDaySet):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        fh.write(DAYS_COMMENT + "\n")
-        w.writerow(DAYS_HEADER)
-        for s, day in enumerate(days.day_ids):
-            for t in range(HOURS):
-                w.writerow([day, _fmt(days.likelihood[s]), t + 1,
-                            _fmt(days.demand_kw[s, t])])
+    _write_csv(path, DAYS_COMMENT, DAYS_HEADER, (
+        (day, phi, t, d) for day, phi, demand in zip(
+            days.day_ids, days.likelihood.tolist(), days.demand_kw.tolist())
+        for t, d in enumerate(demand, start=1)))
 
 
 def load_network(path) -> Network:
     """Network JSON with buses, lines, generators, base_demand, evcs_bus."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "network")
     try:
         buses = tuple(int(b) for b in doc["buses"])
         lines = tuple(Line(from_bus=int(ln["from"]), to_bus=int(ln["to"]),
@@ -190,8 +203,7 @@ def write_network(path, network: Network):
 
 def load_transitions(path) -> SmpModel:
     """Transition JSON: {"transitions": {"GI": {"shape":..,"scale":..}}}."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "transition")
     try:
         trans = {key: WeibullDist(shape=float(spec["shape"]),
                                   scale=float(spec["scale"]))
@@ -215,13 +227,14 @@ def _policy_from_doc(doc, origin):
     except KeyError as exc:
         raise DataError(f"{origin}: policy document missing {exc}") \
             from None
+    except TypeError as exc:
+        raise DataError(f"{origin}: malformed policy document ({exc})") \
+            from None
 
 
 def load_policy(path) -> PolicyFactors:
     """Policy JSON carrying exactly the PolicyFactors fields."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return _policy_from_doc(doc, path)
+    return _policy_from_doc(_read_json(path, "policy"), path)
 
 
 def write_policy(path, policy: PolicyFactors):
@@ -237,22 +250,20 @@ def load_risk_config(path, *, alpha=None, bound_mode=None) -> RiskConfig:
     alpha and bound_mode keys are optional and overridden by the keyword
     arguments when those are given.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "policy-box")
     try:
-        policy = _policy_from_doc(doc["policy"], path)
-        box = doc["box"]
-        policy_box = PolicyBox(p_attack=tuple(box["p_attack"]),
-                               loading=tuple(box["loading"]),
-                               history_coeff=tuple(box["history_coeff"]))
-    except (KeyError, TypeError) as exc:
+        policy = doc["policy"]
+        box = {k: tuple(doc["box"][k])
+               for k in ("p_attack", "loading", "history_coeff")}
+        if alpha is None:
+            alpha = float(doc.get("alpha", 1.0))
+        if bound_mode is None:
+            bound_mode = doc.get("bound_mode", "expected")
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(
             f"{path}: malformed policy-box document ({exc})") from None
-    if alpha is None:
-        alpha = float(doc.get("alpha", 1.0))
-    if bound_mode is None:
-        bound_mode = doc.get("bound_mode", "expected")
-    return RiskConfig(alpha=alpha, policy_box=policy_box, policy=policy,
+    return RiskConfig(alpha=alpha, policy_box=PolicyBox(**box),
+                      policy=_policy_from_doc(policy, path),
                       bound_mode=bound_mode)
 
 
@@ -274,20 +285,15 @@ TARIFF_COMMENT = "# station tariff; units: tariff in cents/kWh, hour in 1..24"
 def write_tariff(path, tariff, day_ids=None):
     """Tariff CSV: flat (hour,tariff) or per-day (day,hour,tariff)."""
     tar = np.asarray(tariff, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        fh.write(TARIFF_COMMENT + "\n")
-        if tar.ndim == 1:
-            w.writerow(["hour", "tariff"])
-            for t in range(tar.size):
-                w.writerow([t + 1, _fmt(tar[t])])
-            return
-        if day_ids is None:
-            day_ids = tuple(range(tar.shape[0]))
-        w.writerow(["day", "hour", "tariff"])
-        for s, day in enumerate(day_ids):
-            for t in range(tar.shape[1]):
-                w.writerow([day, t + 1, _fmt(tar[s, t])])
+    if tar.ndim == 1:
+        _write_csv(path, TARIFF_COMMENT, ["hour", "tariff"],
+                   enumerate(tar.tolist(), start=1))
+        return
+    if day_ids is None:
+        day_ids = range(tar.shape[0])
+    _write_csv(path, TARIFF_COMMENT, ["day", "hour", "tariff"], (
+        (day, t, v) for day, row in zip(day_ids, tar.tolist(), strict=True)
+        for t, v in enumerate(row, start=1)))
 
 
 def load_tariff(path):
@@ -336,37 +342,32 @@ DLMP_COMMENT = ("# locational marginal prices; units: dlmp in $/MWh, "
 
 def write_dlmp(path, network: Network, results):
     """DLMP CSV (day,hour,bus,dlmp) of the per_day_dlmps results."""
-    with open(path, "w", newline="") as fh:
-        fh.write(DLMP_COMMENT + "\n")
-        fh.write("day,hour,bus,dlmp\n")
-        for res in results:
-            for t in range(HOURS):
-                for b, bus in enumerate(network.buses):
-                    fh.write(
-                        f"{res.day},{t + 1},{bus},{_fmt(res.dlmp[b, t])}\n")
+    # str cells are the csv module's fast path: label strings made once
+    hours = [str(t) for t in range(1, HOURS + 1)]
+    buses = [str(bus) for bus in network.buses]
+    _write_csv(path, DLMP_COMMENT, ["day", "hour", "bus", "dlmp"], (
+        (res.day, hour, bus, v) for res in results
+        for hour, prices in zip(hours, res.dlmp.T.tolist())
+        for bus, v in zip(buses, map(repr, prices))))
 
 
 def write_charging_price(path, price, label="charging price"):
     """Hourly charging-price CSV (hour,lambda_c); label opens the comment."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {label}; units: lambda_c in cents/kWh, hour in 1..24\n")
-        fh.write("hour,lambda_c\n")
-        for t in range(HOURS):
-            fh.write(f"{t + 1},{_fmt(price[t])}\n")
+    _write_csv(path, f"# {label}; units: lambda_c in cents/kWh, hour in "
+               "1..24", ["hour", "lambda_c"],
+               ((t + 1, float(price[t])) for t in range(HOURS)))
 
 
 def write_smp(path, result, published_p_attack):
     """Attack-chain summary CSV (quantity,state,value): the sojourn and
     steady state of each state, p_attack, then published_p_attack."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# attack-chain summary; units: sojourn in hours, "
-                 "probabilities dimensionless\n")
-        fh.write("quantity,state,value\n")
-        for quantity in ("sojourn", "steady_state"):
-            for state, value in zip(STATES, getattr(result, quantity)):
-                fh.write(f"{quantity},{state},{_fmt(value)}\n")
-        fh.write(f"p_attack,F,{_fmt(result.p_attack)}\n")
-        fh.write(f"published_p_attack,F,{_fmt(published_p_attack)}\n")
+    rows = [(quantity, state, float(value))
+            for quantity in ("sojourn", "steady_state")
+            for state, value in zip(STATES, getattr(result, quantity))]
+    _write_csv(path, "# attack-chain summary; units: sojourn in hours, "
+               "probabilities dimensionless", ["quantity", "state", "value"],
+               rows + [("p_attack", "F", float(result.p_attack)),
+                       ("published_p_attack", "F", float(published_p_attack))])
 
 
 SWEEP_HEADER = ["scale", "alpha", "bound", "lambda_c_avg", "x_hat"]
@@ -376,13 +377,9 @@ SWEEP_COMMENT = ("# demand-scaling premium grid; units: lambda_c_avg and "
 
 def write_sweep(path, rows):
     """Sweep CSV with the five pinned columns; infeasible cells emit nan."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        fh.write(SWEEP_COMMENT + "\n")
-        w.writerow(SWEEP_HEADER)
-        for r in rows:
-            w.writerow([_fmt(r.scale), _fmt(r.alpha), r.bound,
-                        _fmt(r.lambda_c_avg), _fmt(r.x_hat)])
+    _write_csv(path, SWEEP_COMMENT, SWEEP_HEADER, (
+        (float(r.scale), float(r.alpha), r.bound, float(r.lambda_c_avg),
+         float(r.x_hat)) for r in rows))
 
 
 def read_table(path):

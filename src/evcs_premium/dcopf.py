@@ -48,6 +48,8 @@ from .backend import SENSE_EQ, LinearProgram, solve_lp, worst_residual
 from .units import dollars_per_mwh_to_cents_per_kwh, kw_to_mw
 
 HOURS = 24
+BALANCE_GATE = 1e-7   # MW, a day's worst bus-hour balance violation
+DUALITY_GATE = 1e-8   # a day's relative strong-duality gap
 
 
 class DcopfError(ValueError):
@@ -204,7 +206,8 @@ def _check_finite(values, what):
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise DcopfError(
-            f"{what} must be finite, hour {bad[0] + 1} is {values[bad[0]]!r}")
+            f"{what} must be finite, hour {bad[0] + 1} is "
+            f"{float(values[bad[0]])!r}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,10 @@ class DlmpResult:
     c_ll: float               # generation cost over the day, $
     c_dll: float              # dual objective over the day, $
     balance_residual: float   # max |balance violation| MW over bus-hours
+
+    @property
+    def duality_gap(self):    # relative, |C_LL - C_DLL| / (1 + |C_LL|)
+        return abs(self.c_ll - self.c_dll) / (1.0 + abs(self.c_ll))
 
 
 def solve_dcopf(network: Network, day, evcs_demand_mw=None, warm=None):
@@ -329,18 +336,18 @@ def _day_result(network, block, day, demand, res):
     c_dll = float(np.sum(dlmp * demand) - gcap @ alpha_up.sum(axis=1)
                   - fcap @ (delta_up + delta_lo).sum(axis=1))
     residual = float(np.max(np.abs(block.matrix[:n_b] @ x - demand)))
-    if not residual <= 1e-7:
+    result = DlmpResult(
+        day=day, dispatch=dispatch, angles=angles, flows=flows, dlmp=dlmp,
+        alpha_up=alpha_up, alpha_lo=alpha_lo, xi=xi, delta_up=delta_up,
+        delta_lo=delta_lo, c_ll=c_ll, c_dll=c_dll, balance_residual=residual)
+    if not residual <= BALANCE_GATE:
         raise DcopfError(
             f"day {day!r}: power balance residual {residual:g} exceeds 1e-7")
-    if not abs(c_ll - c_dll) <= 1e-8 * (1.0 + abs(c_ll)):
+    if not result.duality_gap <= DUALITY_GATE:
         raise DcopfError(
             f"day {day!r}: strong duality violated: C_LL={c_ll!r}, "
             f"C_DLL={c_dll!r}")
-
-    return DlmpResult(day=day, dispatch=dispatch, angles=angles, flows=flows,
-                      dlmp=dlmp, alpha_up=alpha_up, alpha_lo=alpha_lo, xi=xi,
-                      delta_up=delta_up, delta_lo=delta_lo, c_ll=c_ll,
-                      c_dll=c_dll, balance_residual=residual)
+    return result
 
 
 def _first_binding_hour(block, day, demand):

@@ -268,13 +268,7 @@ def run_case(config: CaseConfig) -> ReportBundle:
                               sensitivity=sensitivity, quotes=quotes,
                               sweep=sweep, discrepancies=discrepancies,
                               outputs=outputs)
-        emit_plot_data(bundle, out)
-        with open(path_for("discrepancies", "discrepancies.txt"),
-                  "w") as fh:
-            fh.write("# computed-vs-published deltas and flagged cells; "
-                     "empty body means none\n")
-            for line in discrepancies:
-                fh.write(line + "\n")
+        report_stage(bundle, path_for)
         completed.append(stage)
     except Exception as exc:
         finish_manifest(failed=stage, error=str(exc))
@@ -284,40 +278,33 @@ def run_case(config: CaseConfig) -> ReportBundle:
     return bundle
 
 
-def emit_plot_data(bundle: ReportBundle, out_dir):
-    """Tidy CSVs for the three figure analogs; returns their paths.
+def report_stage(bundle: ReportBundle, path_for):
+    """The figure-analog tables and discrepancies.txt.
 
     fig4: closed-form premium against each policy factor.
     fig5: the scale sweep at expected bounds, long format.
     fig6: per-kWh premium across alpha under lower and upper bounds.
     """
-    fmt = dataio._fmt
-    fig4 = [f"{axis},{fmt(v)},{fmt(x)}" for axis in sorted(bundle.sensitivity)
-            for v, x in zip(*bundle.sensitivity[axis])]
-    fig5 = [f"{row.scale!r},{row.alpha!r},{row.lambda_c_avg!r},{row.x_hat!r}"
-            for row in bundle.sweep
-            if row.bound == "expected" and row.feasible]
-    fig6 = [f"{alpha!r},{bound},{quote.per_kwh!r}"
-            for (alpha, bound), quote in sorted(
-                bundle.quotes.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-            if bound in ("lower", "upper")]
-    tables = {
-        "fig4": ("fig4_sensitivity.csv", "premium sensitivity; units: x_hat "
-                 "in cents/kWh, factor value dimensionless",
-                 "factor,value,x_hat", fig4),
-        "fig5": ("fig5_scaling.csv", "demand-scaling premiums at expected "
-                 "factor bounds; units: lambda_c_avg and x_hat in cents/kWh",
-                 "scale,alpha,lambda_c_avg,x_hat", fig5),
-        "fig6": ("fig6_alpha_bounds.csv", "per-kWh premium by tail level and "
-                 "factor bound; units: x_hat in cents/kWh",
-                 "alpha,bound,x_hat", fig6),
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for key, (filename, comment, header, rows) in tables.items():
-        paths[key] = os.path.join(out_dir, filename)
-        with open(paths[key], "w", newline="") as fh:
-            fh.write(f"# {comment}\n{header}\n")
-            fh.writelines(row + "\n" for row in rows)
-        bundle.outputs.setdefault(key, filename)
-    return paths
+    dataio._write_csv(
+        path_for("fig4", "fig4_sensitivity.csv"), "# premium sensitivity; "
+        "units: x_hat in cents/kWh, factor value dimensionless",
+        ["factor", "value", "x_hat"],
+        ((axis, float(v), float(x)) for axis in sorted(bundle.sensitivity)
+         for v, x in zip(*bundle.sensitivity[axis])))
+    dataio._write_csv(
+        path_for("fig5", "fig5_scaling.csv"), "# demand-scaling premiums at "
+        "expected factor bounds; units: lambda_c_avg and x_hat in cents/kWh",
+        ["scale", "alpha", "lambda_c_avg", "x_hat"],
+        ((row.scale, row.alpha, row.lambda_c_avg, row.x_hat)
+         for row in bundle.sweep if row.bound == "expected" and row.feasible))
+    dataio._write_csv(
+        path_for("fig6", "fig6_alpha_bounds.csv"), "# per-kWh premium by "
+        "tail level and factor bound; units: x_hat in cents/kWh",
+        ["alpha", "bound", "x_hat"],
+        ((alpha, bound, quote.per_kwh) for (alpha, bound), quote in sorted(
+            bundle.quotes.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+         if bound in ("lower", "upper")))
+    with open(path_for("discrepancies", "discrepancies.txt"), "w") as fh:
+        fh.write("# computed-vs-published deltas and flagged cells; "
+                 "empty body means none\n")
+        fh.writelines(line + "\n" for line in bundle.discrepancies)

@@ -32,10 +32,9 @@ from .analytic import TypicalDaySet
 from .cvar import BOUND_MODES, DEFAULT_ALPHAS, DEFAULT_SCALES, \
     PremiumQuote, RiskConfig, RiskError, dual_value, robust_premium_bilevel
 from .backend import worst_residual
-from .dcopf import DcopfError, Network, _max_abs, dual_feasibility_check, \
-    evcs_tariff_cents, per_day_dlmps
+from .dcopf import DUALITY_GATE, DcopfError, Network, _max_abs, \
+    dual_feasibility_check, evcs_tariff_cents, per_day_dlmps
 
-DUALITY_GATE = 1e-8
 CCG_TOL = 1e-6
 
 
@@ -131,8 +130,7 @@ def single_level_residuals(network: Network, results) -> dict:
         fam["dual_stationarity"].append(
             dual_feasibility_check(res, network).max_residual)
         fam["dual_sign"] += [float((-v).max(initial=0.0)) for v in signs]
-        fam["duality_gap"].append(
-            abs(res.c_ll - res.c_dll) / (1.0 + abs(res.c_ll)))
+        fam["duality_gap"].append(res.duality_gap)
     return {name: worst_residual(values) for name, values in fam.items()}
 
 
@@ -147,8 +145,7 @@ def _grid_blocks(network, days):
             f"grid block verification failed: {bad} residual "
             f"{fam[bad]:g} exceeds {DUALITY_GATE:g}")
     tariff = evcs_tariff_cents(network, results)
-    gaps = np.array([abs(r.c_ll - r.c_dll) / (1.0 + abs(r.c_ll))
-                     for r in results])
+    gaps = np.array([r.duality_gap for r in results])
     return results, tariff, gaps
 
 

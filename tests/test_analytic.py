@@ -194,12 +194,14 @@ def test_day_set_validation():
 def test_day_set_rejects_non_finite(bad):
     phi = np.array([0.5, 0.25, 0.25])
     with pytest.raises(AnalyticError,
-                       match=r"likelihoods must be finite.* at index 2$"):
+                       match=rf"likelihoods must be finite, got {bad} at "
+                             r"index 2$"):
         TypicalDaySet(np.array([0.5, 0.5, bad]), np.ones((3, 24)))
     demand = np.ones((3, 24))
     demand[1, 7] = bad
     with pytest.raises(AnalyticError,
-                       match=r"demand must be finite.* at index \(1, 7\)$"):
+                       match=rf"demand must be finite, got {bad} at index "
+                             r"\(1, 7\)$"):
         TypicalDaySet(phi, demand)
 
 

@@ -636,10 +636,21 @@ def test_non_finite_tariff_hour_rejected(bad):
     policy, days, tariff = _tiny_instance()
     tariff[1, 0] = bad
     config = _point_config(policy, 0.5)
-    with pytest.raises(RiskError, match="day index 1 hour 1 is"):
+    with pytest.raises(RiskError, match=f"day index 1 hour 1 is {bad}$"):
         solve_risk_averse_evcs(days, 0.1, config, tariff)
-    with pytest.raises(RiskError, match="day index 1 hour 1 is"):
+    with pytest.raises(RiskError, match=f"day index 1 hour 1 is {bad}$"):
         robust_premium_bilevel(days, config, tariff)
+
+
+def test_tariff_of_other_days_rejected():
+    policy, days, tariff = _tiny_instance()
+    config = _point_config(policy, 0.5)
+    wrong = np.vstack([tariff, tariff[:1]])  # three days for two
+    match = r"tariff shape \(3, 2\) incompatible with demand \(2, 2\)"
+    with pytest.raises(RiskError, match=match):
+        solve_risk_averse_evcs(days, 0.1, config, wrong)
+    with pytest.raises(RiskError, match=match):
+        robust_premium_bilevel(days, config, wrong)
 
 
 @pytest.mark.parametrize("case, error, message", [

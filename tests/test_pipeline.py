@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import filecmp
 import importlib
 import json
@@ -15,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from evcs_premium import cli, dataio, trilevel
+from evcs_premium.analytic import TypicalDaySet
 from evcs_premium.dcopf import evcs_tariff_cents, per_day_dlmps
 from evcs_premium.fixtures import (
     default_policy,
@@ -23,7 +25,8 @@ from evcs_premium.fixtures import (
     reference_smp_model,
     typical_days,
 )
-from evcs_premium.pipeline import CaseConfig, CaseError, run_case
+from evcs_premium.pipeline import CaseConfig, CaseError, dlmp_stage, \
+    run_case
 from evcs_premium.smp import TRANSITIONS
 from evcs_premium.trilevel import SweepRow, ccg_solve
 
@@ -156,6 +159,39 @@ def test_policy_and_risk_config_roundtrip(tmp_path):
     assert overridden.alpha == 0.25
     assert overridden.bound_mode == "lower"
     assert overridden.policy_box == config.policy_box
+
+
+_JSON_FORMATS = {
+    "network": (dataio.load_network, dataio.write_network, manhattan7),
+    "transition": (dataio.load_transitions, dataio.write_transitions,
+                   reference_smp_model),
+    "policy": (dataio.load_policy, dataio.write_policy, default_policy),
+    "policy-box": (dataio.load_risk_config, dataio.write_risk_config,
+                   default_risk_config),
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    *((kind, case) for kind in _JSON_FORMATS
+      for case in ("truncated", "list")),
+    ("policy", "loading"), ("policy-box", "alpha")])
+def test_json_loaders_name_the_file(tmp_path, kind, case):
+    """A document that does not parse, is not an object, or holds a string
+    where a number belongs raises DataError naming the file and kind."""
+    load, write, fixture = _JSON_FORMATS[kind]
+    path = tmp_path / "doc.json"
+    write(path, fixture())
+    text = path.read_text()
+    doc = json.loads(text)
+    if case == "truncated":
+        path.write_text(text[:len(text) // 2])
+    elif case == "list":
+        path.write_text(json.dumps([doc]))
+    else:
+        path.write_text(json.dumps({**doc, case: "x"}))
+    with pytest.raises(dataio.DataError, match=rf"^{re.escape(str(path))}: "
+                                               rf"malformed {kind} document"):
+        load(path)
 
 
 def test_tariff_roundtrip_both_forms(tmp_path):
@@ -480,6 +516,42 @@ def test_cli_subcommand_help_lists_its_flags(command, capsys):
     shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
                            capsys.readouterr().out))
     assert shown == _CLI_FLAGS[command] | {"--help"}
+
+
+def test_emitted_csvs_share_one_format(tmp_path, capsys):
+    """Every CSV of run_case and the CLI is LF-only and loads back."""
+    run_case(CaseConfig(out_dir=str(tmp_path / "case"), **_SMALL_MATRIX))
+    for i, argv in enumerate([
+            ["smp"], ["dlmp"], ["premium-analytic"], ["premium-robust"],
+            ["premium-trilevel"], ["premium-trilevel", "--mode", "ccg"],
+            ["sweep", "--scales", "1,100", "--alphas", "1"]]):
+        assert cli.main(["--out", str(tmp_path / f"cli{i}"), *argv]) == 0
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert len(paths) == 8 + 10  # run_case's tables, the subcommands'
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path
+        assert dataio.read_table(path), path
+        if path.name == "tariff.csv":
+            dataio.load_tariff(path)
+
+
+def test_dlmp_stage_quotes_day_ids(tmp_path):
+    """Day ids holding a comma or a quote survive dlmp.csv and tariff.csv."""
+    net, days = manhattan7(), typical_days()
+    ids = tuple(f'{day},"x"' for day in days.day_ids)
+    net = dataclasses.replace(net, base_demand={
+        new: net.base_demand[old] for old, new in zip(days.day_ids, ids)})
+    days = TypicalDaySet(days.likelihood, days.demand_kw, day_ids=ids)
+    results, tariff = dlmp_stage(
+        net, days, lambda name, filename: str(tmp_path / filename))
+    rows = dataio.read_table(tmp_path / "dlmp.csv")
+    assert [r["day"] for r in rows] == [
+        day for day in ids for _ in range(24 * len(net.buses))]
+    assert [float(r["dlmp"]) for r in rows] == [
+        v for res in results for v in res.dlmp.T.ravel().tolist()]
+    back, back_ids = dataio.load_tariff(tmp_path / "tariff.csv")
+    assert back_ids == tuple(sorted(ids))
+    assert np.array_equal(back, tariff[[ids.index(d) for d in back_ids]])
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
