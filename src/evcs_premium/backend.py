@@ -16,9 +16,9 @@ off the senses, under the options, statuses and marginals of scipy's
 programs) run the dual simplex; QPs (diagonal positive semidefinite Hessian
 only) run HiGHS's active-set QP solver. Each solution is certified once,
 per block of an LP stacked from equal blocks, as if each were solved alone.
-Every run builds a fresh model; :func:`solve_lp` can start it from the
-final basis of an earlier LP of the same shape, which the result carries,
-and HiGHS then skips presolve and hot-starts the dual simplex.
+Every run builds a fresh model unless the caller keeps an
+:class:`LpModel`, which reruns an LP of new right-hand sides on its model
+from its last basis (see :func:`_highs_solve`).
 
 The package's own price program has a dedicated exact solver in
 :mod:`evcs_premium.cvar`; :func:`solve_qp` stays as the generic reference
@@ -164,7 +164,21 @@ class SolveResult:
     iterations: int = 0
     message: str = ""
     certificate: Certificate | None = None
-    basis: object = None  # HiGHS's final basis, to start a same-shape LP
+
+
+class LpModel:
+    """A HiGHS model, its LP and its last optimal basis, kept across
+    :func:`solve_lp` calls (see :func:`_highs_solve`); with no basis the
+    next run is fresh and cold. Leaving its ``with`` block frees the
+    model, even while a traceback still holds this object."""
+
+    highs = lp = basis = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.highs = self.lp = self.basis = None
 
 
 @dataclass(frozen=True)
@@ -234,69 +248,94 @@ def certify(prob, x, duals, red_lo, red_up, blocks=1) -> Certificate:
         cost_scale=1.0 + np.abs(by_block(prob.cost)).max(axis=1, initial=0.0))
 
 
-def _result(status, x, duals, red_lo, red_up, cert, iterations, basis):
+def _result(status, x, duals, red_lo, red_up, cert, iterations):
     """SolveResult carrying the certificate, its objective summed over the
     blocks."""
     return SolveResult(
         status, x, float(cert.objective.sum()), duals, red_lo, red_up,
-        iterations=iterations, certificate=cert, basis=basis)
+        iterations=iterations, certificate=cert)
 
 
-def _highs_solve(prob, basis=None):
+def _row_bounds(senses, rhs):
+    """HiGHS's lower and upper bounds of rows with these senses."""
+    return (np.where(senses == SENSE_LE, -np.inf, rhs),
+            np.where(senses == SENSE_GE, np.inf, rhs))
+
+
+def _highs_solve(prob, model=None):
     """One HiGHS run of an LP or a ConvexQP, read as scipy's method="highs"
     reads an LP: (model status, message, x, duals, reduced_lower,
-    reduced_upper, iterations, final basis), the arrays and the basis None
-    unless the status is optimal. A ``basis`` (a final basis of a program
-    of the same shape) starts the run from that basis, skipping presolve.
+    reduced_upper, iterations), the arrays None unless the status is
+    optimal. A ``model`` holding a basis starts the run from it, skipping
+    presolve, on its own HiGHS model if the program shares every array but
+    the right-hand side with the model's last one: then only the rows
+    whose right-hand side changed get new bounds. The model keeps the run.
 
     Raises BackendError naming the first NaN or infinite cost, matrix
     entry or right-hand side, and the first NaN bound or infinite bound
     on the wrong side (-inf lower and +inf upper bounds mean no bound).
     """
     q = getattr(prob, "q_diag", None)
-    for name, values, ok in (
-            ("cost", prob.cost, np.isfinite(prob.cost)),
-            ("matrix value", prob.a.data, np.isfinite(prob.a.data)),
-            ("right-hand side", prob.rhs, np.isfinite(prob.rhs)),
-            ("lower bound", prob.lower, prob.lower < np.inf),
-            ("upper bound", prob.upper, prob.upper > -np.inf)):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            where = (f"row {prob.a.indices[i]} column "
-                     f"{np.searchsorted(prob.a.indptr, i, side='right') - 1}"
-                     if name == "matrix value" else f"index {i}")
-            raise BackendError(f"{'LP' if q is None else 'QP'} {name} at "
-                               f"{where} is {float(values[i])!r}")
-    n_rows, n_cols = prob.a.shape
-    # a colwise model from the CSC arrays
-    model = [n_cols, n_rows, prob.a.nnz, _highs.MatrixFormat.kColwise,
-             _highs.ObjSense.kMinimize, 0.0, prob.cost, prob.lower,
-             prob.upper, np.where(prob.senses == SENSE_LE, -np.inf, prob.rhs),
-             np.where(prob.senses == SENSE_GE, np.inf, prob.rhs),
-             prob.a.indptr, prob.a.indices, prob.a.data]
-    if q is not None:
-        # the diagonal Hessian as a colwise triangle of its nonzero entries,
-        # its count, format and arrays each placed after the matrix's
-        nz = np.flatnonzero(q).astype(np.int32)
-        model[3:3] = [nz.size]
-        model[5:5] = [_highs.HessianFormat.kTriangular]
-        model += [np.searchsorted(nz, np.arange(n_cols + 1)).astype(np.int32),
-                  nz, q[nz]]
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    continuous = np.zeros(n_cols, dtype=np.int32)
-    if highs.passModel(*model, continuous) == _highs.HighsStatus.kError:
-        status = _highs.HighsModelStatus.kModelError
+    basis, rows = getattr(model, "basis", None), None
+    if basis is not None and all(
+            getattr(prob, k) is getattr(model.lp, k)
+            for k in ("a", "senses", "cost", "lower", "upper")):
+        rows = np.flatnonzero(prob.rhs != model.lp.rhs)
+        if not np.isfinite(prob.rhs[rows]).all():
+            rows = None  # the checks below name the first bad entry
+    if rows is not None:
+        highs, passed = model.highs, True
+        lower, upper = _row_bounds(prob.senses[rows], prob.rhs[rows])
+        for i, lo, up in zip(rows.tolist(), lower.tolist(), upper.tolist()):
+            highs.changeRowBounds(i, lo, up)
     else:
+        for name, values, ok in (
+                ("cost", prob.cost, np.isfinite(prob.cost)),
+                ("matrix value", prob.a.data, np.isfinite(prob.a.data)),
+                ("right-hand side", prob.rhs, np.isfinite(prob.rhs)),
+                ("lower bound", prob.lower, prob.lower < np.inf),
+                ("upper bound", prob.upper, prob.upper > -np.inf)):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                where = (f"row {prob.a.indices[i]} column "
+                         f"{np.searchsorted(prob.a.indptr, i, 'right') - 1}"
+                         if name == "matrix value" else f"index {i}")
+                raise BackendError(f"{'LP' if q is None else 'QP'} {name} "
+                                   f"at {where} is {float(values[i])!r}")
+        n_rows, n_cols = prob.a.shape
+        # a colwise model from the CSC arrays
+        args = [n_cols, n_rows, prob.a.nnz, _highs.MatrixFormat.kColwise,
+                _highs.ObjSense.kMinimize, 0.0, prob.cost, prob.lower,
+                prob.upper, *_row_bounds(prob.senses, prob.rhs),
+                prob.a.indptr, prob.a.indices, prob.a.data]
+        if q is not None:
+            # the diagonal Hessian as a colwise triangle of its nonzero
+            # entries, its count, format and arrays each placed after the
+            # matrix's
+            nz = np.flatnonzero(q).astype(np.int32)
+            args[3:3] = [nz.size]
+            args[5:5] = [_highs.HessianFormat.kTriangular]
+            args += [np.searchsorted(nz, np.arange(n_cols + 1)).astype(
+                np.int32), nz, q[nz]]
+        highs = _highs._Highs()
+        highs.passOptions(_OPTIONS)
+        continuous = np.zeros(n_cols, dtype=np.int32)
+        passed = (highs.passModel(*args, continuous)
+                  != _highs.HighsStatus.kError)
+    status = _highs.HighsModelStatus.kModelError
+    if passed:
         if basis is not None:
             highs.setBasis(basis)
         highs.run()
         status = highs.getModelStatus()
+    optimal = status == _highs.HighsModelStatus.kOptimal
+    if model is not None:
+        model.highs, model.lp = highs, prob
+        model.basis = highs.getBasis() if optimal else None
     message = f"HiGHS model status {highs.modelStatusToString(status)}"
-    if status != _highs.HighsModelStatus.kOptimal:
-        return status, message, None, None, None, None, 0, None
+    if not optimal:
+        return status, message, None, None, None, None, 0
     solution = highs.getSolution()
-    final = highs.getBasis()
     x = np.array(solution.col_value)
     col_dual = np.array(solution.col_dual)
     if q is None:
@@ -310,13 +349,13 @@ def _highs_solve(prob, basis=None):
     else:
         # the QP solver's point may sit off a bound its column is held at;
         # bytes() reads each enum object's __index__ in C
-        side = np.frombuffer(bytes(final.col_status), np.int8)
+        side = np.frombuffer(bytes(highs.getBasis().col_status), np.int8)
         at_lower, at_upper = side == _AT_LOWER, side == _AT_UPPER
     info = highs.getInfo()
     return (status, message, x, np.array(solution.row_dual),
             np.where(at_lower, col_dual, 0.0),
             np.where(at_upper, col_dual, 0.0),
-            info.simplex_iteration_count + info.qp_iteration_count, final)
+            info.simplex_iteration_count + info.qp_iteration_count)
 
 
 def _failed(status, message):
@@ -325,21 +364,22 @@ def _failed(status, message):
                        None, None, message=message)
 
 
-def solve_lp(lp: LinearProgram, blocks: int = 1, basis=None) -> SolveResult:
+def solve_lp(lp: LinearProgram, blocks: int = 1,
+             model: LpModel | None = None) -> SolveResult:
     """Solve an LP with HiGHS, returning sensitivity-convention duals.
 
     The solution is certified once, per block (see :func:`certify`): the
     status is "optimal" only if every block passes the gates, and the
-    result carries the :class:`Certificate` and HiGHS's final basis, which
-    may start the solve of another LP of the same shape (``basis``).
+    result carries the :class:`Certificate`. A ``model`` runs the LP on
+    the HiGHS model it holds where it can (see :class:`LpModel`).
     Non-finite input raises BackendError (see :func:`_highs_solve`).
     """
-    status, message, x, duals, lo, up, iters, final = _highs_solve(lp, basis)
+    status, message, x, duals, lo, up, iters = _highs_solve(lp, model)
     if x is None:
         return _failed(status, message)
     cert = certify(lp, x, duals, lo, up, blocks)
     status = "optimal" if cert.lp_optimal().all() else "numerical"
-    return _result(status, x, duals, lo, up, cert, iters, final)
+    return _result(status, x, duals, lo, up, cert, iters)
 
 
 def solve_qp(qp: ConvexQP) -> SolveResult:
@@ -347,7 +387,7 @@ def solve_qp(qp: ConvexQP) -> SolveResult:
     convention, and the status is "optimal" only if the KKT certificate
     passes its gates, scaled by the objective and the costs. Non-finite
     input raises BackendError (see :func:`_highs_solve`)."""
-    status, message, x, duals, lo, up, iters, final = _highs_solve(qp)
+    status, message, x, duals, lo, up, iters = _highs_solve(qp)
     if x is None:
         return _failed(status, message)
     cert = certify(qp, x, duals, lo, up)
@@ -356,4 +396,4 @@ def solve_qp(qp: ConvexQP) -> SolveResult:
     if not (cert.primal_infeasibility[0] <= _FEAS_TOL * scale
             and cert.dual_infeasibility[0] <= 1e-8 * scale):
         status = "numerical"
-    return _result(status, x, duals, lo, up, cert, iters, final)
+    return _result(status, x, duals, lo, up, cert, iters)

@@ -3,7 +3,8 @@
 Every emitted CSV goes through one writer, _write_csv: a '#' comment line
 naming the content and its units, the column header, then the rows, each
 line ended by LF and each cell quoted by the csv module where it holds a
-comma or a quote. Loaders skip comment lines; parse errors name the file
+comma, a quote or a line feed; a cell holding a bare carriage return is
+refused. Loaders skip comment lines; parse errors name the file
 and the offending 1-based row. Floats are written with repr so
 re-ingesting an emitted file reproduces the in-memory values exactly, and
 JSON is dumped with sorted keys so reruns are byte-identical.
@@ -12,6 +13,7 @@ JSON is dumped with sorted keys so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -27,10 +29,20 @@ class DataError(ValueError):
 
 
 def _write_csv(path, comment, header, rows):
-    """comment (a whole '#' line), header, then rows; LF line ends."""
+    """comment (a whole '#' line), header, then rows; LF line ends. A cell
+    with a carriage return outside a CRLF pair, which the csv module would
+    leave unquoted, raises DataError."""
+    table = [header, *rows]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    text = buf.getvalue()
+    if "\r" in text:
+        for cell in (c for row in table for c in row):
+            if "\r" in str(cell).replace("\r\n", ""):
+                raise DataError(f"{path}: cell {cell!r} holds a bare "
+                                "carriage return")
     with open(path, "w", newline="") as fh:
-        fh.write(comment + "\n")
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        fh.write(comment + "\n" + text)
 
 
 def _write_json(path, doc):

@@ -17,13 +17,14 @@ gated at its own scale as if it had been solved alone. Only a day that
 cannot be served is solved again hour by hour, to name the first hour no
 dispatch can serve.
 
-Since the days of a network share the matrix and the bounds,
-:func:`per_day_dlmps` starts each day after the first from the previous
-day's final HiGHS basis (Huangfu & Hall's dual simplex hot start). The
-basis lives only for that call, so results depend on the inputs alone;
-a warm-started day that misses any gate is solved again cold before an
-error is raised, and an infeasible one goes straight to the hourly
-search.
+The day LPs of a network differ in their right-hand sides alone, so
+:func:`per_day_dlmps` keeps one HiGHS model for the length of the call:
+each day after the first resets only its balance rows' bounds and starts
+from the previous day's final basis (Huangfu & Hall's dual simplex hot
+start). The model lives only for that call, so results depend on the
+inputs alone; a warm-started day that misses any gate is solved again
+cold before an error is raised, and an infeasible one goes straight to
+the hourly search.
 
 The DLMP at a bus is the sensitivity dual of its balance row. The remaining
 duals are reported in the sign convention of the stationarity identities
@@ -38,13 +39,14 @@ with xi_l = -z_l times the flow-row dual, and all of alpha/delta nonnegative.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import SENSE_EQ, LinearProgram, solve_lp, worst_residual
+from .backend import SENSE_EQ, LinearProgram, LpModel, solve_lp, worst_residual
 from .units import dollars_per_mwh_to_cents_per_kwh, kw_to_mw
 
 HOURS = 24
@@ -193,10 +195,10 @@ class Network:
         lower = np.concatenate([np.zeros(n_g), np.full(n_b, -np.inf), -fcap])
         upper = np.concatenate([gcap, np.full(n_b, np.inf), fcap])
         lower[n_g] = upper[n_g] = 0.0  # angle of the reference bus, buses[0]
+        matrix = sp.csr_matrix((vals, (rows, cols)),
+                               shape=(n_b + n_l, n_g + n_b + n_l))
         return HourBlock(
-            matrix=sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(n_b + n_l, n_g + n_b + n_l)),
-            lower=lower, upper=upper,
+            matrix=matrix, balance=matrix[:n_b], lower=lower, upper=upper,
             cost=np.array([g.cost_profile() for g in self.generators]
                           ).reshape(n_g, HOURS),
             reactance=z, gen_bus=gen_bus, line_from=frm, line_to=to)
@@ -220,6 +222,7 @@ class HourBlock:
     """
 
     matrix: sp.csr_matrix   # (n_bus + n_line, n_gen + n_bus + n_line)
+    balance: sp.csr_matrix  # the balance rows of matrix
     lower: np.ndarray
     upper: np.ndarray
     cost: np.ndarray        # (n_gen, 24) $/MWh
@@ -231,23 +234,30 @@ class HourBlock:
 
     def lp(self, demand, cost):
         """The LP of the hours in the columns of demand (n_bus, k) and cost
-        (n_gen, k): k copies of the block on the diagonal, hour-major. The
-        stacked matrix and bounds are built once per k, and read-only."""
+        (n_gen, k): k copies of the block on the diagonal, hour-major. All
+        but the right-hand side is built and validated once per k and
+        shared, read-only, as is the cost while it stays the same."""
         k = demand.shape[1]
         n_rows, n_vars = self.matrix.shape
-        if k not in self._stacks:
-            a = sp.kron(sp.identity(k), self.matrix, format="csc")
-            stack = (a, np.full(k * n_rows, SENSE_EQ),
-                     np.tile(self.lower, k), np.tile(self.upper, k))
-            for v in (a.data, a.indices, a.indptr, *stack[1:]):
-                v.flags.writeable = False
-            self._stacks[k] = stack
-        a, senses, lower, upper = self._stacks[k]
-        rhs = np.zeros((k, n_rows))
-        rhs[:, :demand.shape[0]] = demand.T
         c = np.zeros((k, n_vars))
         c[:, :cost.shape[0]] = cost.T
-        return LinearProgram(c.ravel(), a, senses, rhs.ravel(), lower, upper)
+        if k not in self._stacks:
+            lp = LinearProgram(c.ravel(), sp.kron(sp.identity(k), self.matrix,
+                                                  format="csc"),
+                               np.full(k * n_rows, SENSE_EQ),
+                               np.zeros(k * n_rows), np.tile(self.lower, k),
+                               np.tile(self.upper, k))
+            for v in (lp.a.data, lp.a.indices, lp.a.indptr, lp.cost,
+                      lp.senses, lp.lower, lp.upper):
+                v.flags.writeable = False
+            self._stacks[k] = lp
+        lp = copy.copy(self._stacks[k])
+        rhs = np.zeros((k, n_rows))
+        rhs[:, :demand.shape[0]] = demand.T
+        lp.rhs = rhs.ravel()
+        if not np.array_equal(lp.cost, c.ravel()):
+            lp.cost = c.ravel()
+        return lp
 
 
 @dataclass(frozen=True)
@@ -273,12 +283,13 @@ class DlmpResult:
         return abs(self.c_ll - self.c_dll) / (1.0 + abs(self.c_ll))
 
 
-def solve_dcopf(network: Network, day, evcs_demand_mw=None, warm=None):
+def solve_dcopf(network: Network, day, evcs_demand_mw=None,
+                model: LpModel | None = None):
     """Solve one typical day's OPF and extract DLMPs.
 
     evcs_demand_mw: optional 24-vector added to the EVCS bus demand.
-    warm: optional dict carrying HiGHS's final basis from one day's solve
-    to the next day's of the same network (see :func:`per_day_dlmps`).
+    model: optional backend.LpModel that holds the network's day LP from
+    one day's solve to the next day's (see :func:`per_day_dlmps`).
     """
     demand = network.demand_matrix(day)
     if evcs_demand_mw is not None:
@@ -292,19 +303,17 @@ def solve_dcopf(network: Network, day, evcs_demand_mw=None, warm=None):
         demand[network.bus_index()[network.evcs_bus]] += ev
 
     block = network._hour_block
-    basis = warm.pop("basis", None) if warm else None
-    res = solve_lp(block.lp(demand, block.cost), blocks=HOURS, basis=basis)
+    warm = model is not None and model.basis is not None
+    res = solve_lp(block.lp(demand, block.cost), blocks=HOURS, model=model)
     if res.status == "infeasible":
         raise _first_binding_hour(block, day, demand)
     try:
-        result = _day_result(network, block, day, demand, res)
+        return _day_result(network, block, day, demand, res)
     except DcopfError:
-        if basis is None:
+        if not warm:
             raise
-        return solve_dcopf(network, day, evcs_demand_mw, warm)  # cold
-    if warm is not None:
-        warm["basis"] = res.basis
-    return result
+        model.basis = None  # the retry builds a fresh model, cold
+        return solve_dcopf(network, day, evcs_demand_mw, model)
 
 
 def _day_result(network, block, day, demand, res):
@@ -335,7 +344,7 @@ def _day_result(network, block, day, demand, res):
     c_ll = float(hours.objective.sum())
     c_dll = float(np.sum(dlmp * demand) - gcap @ alpha_up.sum(axis=1)
                   - fcap @ (delta_up + delta_lo).sum(axis=1))
-    residual = float(np.max(np.abs(block.matrix[:n_b] @ x - demand)))
+    residual = float(np.max(np.abs(block.balance @ x - demand)))
     result = DlmpResult(
         day=day, dispatch=dispatch, angles=angles, flows=flows, dlmp=dlmp,
         alpha_up=alpha_up, alpha_lo=alpha_lo, xi=xi, delta_up=delta_up,
@@ -400,10 +409,10 @@ def _max_abs(values):
 def per_day_dlmps(network: Network, days):
     """Solve every typical day with its EVCS demand; list of DlmpResult.
 
-    Each day after the first starts from the previous day's final basis."""
-    warm = {}
-    return [solve_dcopf(network, day, kw_to_mw(days.demand_kw[s]), warm)
-            for s, day in enumerate(days.day_ids)]
+    One LpModel holds the day LP for the length of the call."""
+    with LpModel() as model:
+        return [solve_dcopf(network, day, kw_to_mw(days.demand_kw[s]), model)
+                for s, day in enumerate(days.day_ids)]
 
 
 def evcs_tariff_cents(network: Network, results):

@@ -6,6 +6,7 @@ solver. The QP oracle enumerates active sets and checks the KKT sign
 conditions directly.
 """
 
+import functools
 import itertools
 import os
 import pathlib
@@ -31,22 +32,53 @@ from evcs_premium.backend import (
 )
 
 
+@functools.cache
+def _swaps(m, n, k):
+    """Every way to swap k of the first m of n columns for k of the
+    others, one per row of each of (rows, cols, at): the swapped-out
+    columns, the swapped-in ones counted from m, and the flat index of
+    each k-by-k block of an (m, n - m) array at those rows and cols."""
+    rows, cols = (np.array(list(itertools.combinations(range(size), k)),
+                           dtype=np.intp).reshape(-1, k)
+                  for size in (m, n - m))
+    rows, cols = (np.repeat(rows, len(cols), axis=0),
+                  np.tile(cols, (len(rows), 1)))
+    return rows, cols, rows[:, :, None] * (n - m) + cols[:, None, :]
+
+
 def vertex_enumeration_min(a, b, c):
-    """Exact minimum of min c.x s.t. Ax=b, x>=0 over basic feasible points."""
+    """Exact minimum of min c.x s.t. Ax=b, x>=0 over basic feasible points.
+
+    The first m columns must be a basis. In its tableau, B^-1 [A | b] =
+    [I | T | t], the basis that swaps the columns of rows L for the
+    columns E of T has the values x_E = T[L, E]^-1 t[L] and t - T[:, E]
+    x_E, and its determinant is det(B) det(T[L, E]) up to sign; each
+    swap size k solves all its C(m, k) C(n - m, k) k-by-k systems in one
+    batch.
+    """
     m, n = a.shape
-    idx = np.array(list(itertools.combinations(range(n), m)))
-    mats = np.moveaxis(a[:, idx], 1, 0)  # (n_bases, m, m)
-    dets = np.linalg.det(mats)
-    keep = np.abs(dets) > 1e-9
-    rhs = np.broadcast_to(b.reshape(1, m, 1), (int(keep.sum()), m, 1))
-    sols = np.linalg.solve(mats[keep], rhs)[..., 0]
-    feasible = np.all(sols >= -1e-9, axis=1)
-    if not np.any(feasible):
-        return None
-    costs = np.take_along_axis(
-        np.broadcast_to(c, (keep.sum(), n)), idx[keep], axis=1)
-    objs = np.einsum("ij,ij->i", costs, sols)
-    return float(objs[feasible].min())
+    first = a[:, :m]
+    det0 = abs(np.linalg.det(first))
+    assert det0 > 1e-9
+    tab = np.linalg.solve(first, a[:, m:])
+    t = np.linalg.solve(first, b)
+    best = float(c[:m] @ t) if np.all(t >= -1e-9) else np.inf
+    for k in range(1, min(m, n - m) + 1):
+        rows, cols, at = _swaps(m, n, k)
+        blocks = tab.ravel()[at]
+        x_in = np.linalg.solve(blocks, t[rows][..., None])[..., 0]
+        ok = np.all(x_in >= -1e-9, axis=1)
+        ok[ok] = np.abs(np.linalg.det(blocks[ok])) * det0 > 1e-9
+        rows, cols, x_in = rows[ok], cols[ok], x_in[ok]
+        x_kept = t - np.einsum("imk,ik->im", tab[:, cols].transpose(1, 0, 2),
+                               x_in)
+        np.put_along_axis(x_kept, rows, 0.0, axis=1)
+        ok = np.all(x_kept >= -1e-9, axis=1)
+        if ok.any():
+            objs = (x_kept[ok] @ c[:m]
+                    + np.einsum("ik,ik->i", c[m:][cols[ok]], x_in[ok]))
+            best = min(best, float(objs.min()))
+    return None if best == np.inf else best
 
 
 def random_equality_lp(rng, m=10, n=20):
@@ -254,8 +286,8 @@ class TestSolveLp:
         # and with it the status
         raw_solve = backend._highs_solve
 
-        def perturbed(lp, basis=None):
-            out = raw_solve(lp, basis)
+        def perturbed(lp, model=None):
+            out = raw_solve(lp, model)
             out[3][4] += 1e-3
             return out
 

@@ -1,11 +1,16 @@
 """Distribution OPF and locational-price extraction."""
 
 import dataclasses
+import importlib
+import os
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import evcs_premium
 from evcs_premium import backend, dcopf
 from evcs_premium.analytic import TypicalDaySet
 from evcs_premium.backend import SENSE_EQ, LinearProgram, solve_lp
@@ -299,9 +304,9 @@ def lp_calls(monkeypatch):
     """The LPs dcopf hands to solve_lp, in call order."""
     calls = []
 
-    def counting(lp, blocks=1, basis=None):
+    def counting(lp, blocks=1, model=None):
         calls.append(lp)
-        return solve_lp(lp, blocks=blocks, basis=basis)
+        return solve_lp(lp, blocks=blocks, model=model)
 
     monkeypatch.setattr(dcopf, "solve_lp", counting)
     return calls
@@ -376,8 +381,8 @@ def test_hour_missing_its_gates_is_named(monkeypatch):
     # injected into HiGHS's raw solution before solve_lp certifies it
     raw_solve = backend._highs_solve
 
-    def perturbed(lp, basis=None):
-        out = raw_solve(lp, basis)
+    def perturbed(lp, model=None):
+        out = raw_solve(lp, model)
         out[3][4 * lp.num_rows // 24] += 1e-3
         return out
 
@@ -440,7 +445,14 @@ def test_warm_started_days_match_cold_solves():
     assert congested > 100  # most days price buses apart by congestion
 
 
-def test_warm_start_keeps_no_state_between_calls():
+def test_warm_start_keeps_no_state_between_calls(monkeypatch):
+    made, raw_highs = [], backend._highs._Highs
+
+    def recorded():
+        made.append(raw_highs())
+        return made[-1]
+
+    monkeypatch.setattr(backend._highs, "_Highs", recorded)
     net = manhattan7()
     days = typical_days().scaled(400)
     first = per_day_dlmps(net, days)
@@ -451,16 +463,28 @@ def test_warm_start_keeps_no_state_between_calls():
             for f in dataclasses.fields(a):
                 assert_array_equal(getattr(b, f.name), getattr(a, f.name),
                                    strict=True)
+    # one HiGHS model per call, none of which outlives its call, even
+    # while an error's traceback, which reaches the call's frames, is kept
+    assert len(made) == 5
+    try:
+        per_day_dlmps(net, typical_days().scaled(2000))
+    except DcopfError as exc:
+        kept = exc
+    assert kept.__traceback__ is not None
+    held = [weakref.ref(highs) for highs in made]
+    made.clear()
+    assert [ref() for ref in held] == [None] * len(held)
 
 
 def test_warm_day_missing_its_gates_is_solved_cold(monkeypatch):
     raw_solve = backend._highs_solve
     warm_starts = []
 
-    def spoiled(lp, basis=None):
-        warm_starts.append(basis is not None)
-        out = raw_solve(lp, basis)
-        if basis is not None:
+    def spoiled(lp, model=None):
+        warm = model is not None and model.basis is not None
+        warm_starts.append(warm)
+        out = raw_solve(lp, model)
+        if warm:
             out[3][0] += 1e-3  # a dual error far above hour 1's gate
         return out
 
@@ -471,7 +495,95 @@ def test_warm_day_missing_its_gates_is_solved_cold(monkeypatch):
     assert warm_starts == [False] + [True, False] * 3
     monkeypatch.undo()
     for a, b in zip(got, _cold_days(net, days)):
-        assert_array_equal(a.dlmp, b.dlmp, strict=True)
+        for f in dataclasses.fields(a):
+            assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                               strict=True)
+
+
+@pytest.fixture
+def workload(monkeypatch):
+    """The benchmark's workloads module (perfbench/workloads.py)."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+
+
+def _run_days(net, days, runs):
+    """per_day_dlmps's results or its error text; a None appended to runs
+    closes the call's record there."""
+    try:
+        return per_day_dlmps(net, days)
+    except DcopfError as exc:
+        return str(exc)
+    finally:
+        runs.append(None)
+
+
+def test_resident_model_matches_loop_reference(workload, monkeypatch):
+    """Every field of every day, every error text and every LP's status
+    and iteration count bitwise equal to the per-day path the resident
+    model replaced: a fresh LinearProgram per day, passed to a fresh
+    HiGHS model through _highs_solve and started from the previous
+    day's final basis. The resident side builds one HiGHS model per
+    call, but for a cold re-solve or an hour scan."""
+    cases = [(manhattan7(), typical_days().scaled(scale))
+             for scale in (1, 100, 400, 800, 1000)]
+    rng = np.random.default_rng(1009)
+    cases += [_grid_feeder(rng, 7 + k % 14, 2 + k % 5) for k in range(40)]
+    for seed in (1, 4):
+        grid = workload.Grid(evcs_premium, seed, None)
+        cases += [grid.make(i)[:2] for i in range(80)]
+    ccg = workload.Ccg(evcs_premium, 1, None)
+    cases += [(ccg.network, ccg.make(i)[0]) for i in range(48)]
+
+    runs, made = [], []
+    raw_solve, raw_highs = dcopf.solve_lp, backend._highs._Highs
+
+    def recorded(lp, blocks=1, model=None):  # each LP's status and iterations
+        res = raw_solve(lp, blocks, model)
+        runs.append((res.status, res.iterations))
+        return res
+
+    def counted():
+        made.append(None)
+        return raw_highs()
+
+    monkeypatch.setattr(dcopf, "solve_lp", recorded)
+    monkeypatch.setattr(backend._highs, "_Highs", counted)
+    got, models = [], []
+    for net, days in cases:
+        made.clear()
+        got.append(_run_days(net, days, runs))
+        models.append(len(made))
+    got_runs, runs = runs, []
+    # the reference: every LP assembled and validated anew from copies
+    shared = dcopf.HourBlock.lp
+
+    def fresh(block, demand, cost):
+        lp = shared(block, demand, cost)
+        return LinearProgram(lp.cost.copy(), lp.a.copy(), lp.senses.copy(),
+                             lp.rhs, lp.lower.copy(), lp.upper.copy())
+
+    monkeypatch.setattr(dcopf.HourBlock, "lp", fresh)
+    want = [_run_days(net, days, runs) for net, days in cases]
+    assert got_runs == runs
+    errors = 0
+    for (net, days), a, b, n in zip(cases, got, want, models):
+        assert isinstance(a, str) == isinstance(b, str)
+        if isinstance(b, str):
+            assert a == b
+            errors += 1
+            continue
+        assert n == 1
+        for day_a, day_b in zip(a, b, strict=True):
+            for f in dataclasses.fields(day_a):
+                assert_array_equal(getattr(day_a, f.name),
+                                   getattr(day_b, f.name), strict=True)
+    assert errors == 16  # one grid op in ten cannot be served
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

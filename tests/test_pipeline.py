@@ -554,6 +554,19 @@ def test_dlmp_stage_quotes_day_ids(tmp_path):
     assert np.array_equal(back, tariff[[ids.index(d) for d in back_ids]])
 
 
+def test_bare_carriage_return_cell_is_refused(tmp_path):
+    """A cell with a carriage return outside a CRLF pair, which the csv
+    module writes unquoted, is refused before the file is written; one
+    with CRLF is quoted and loads back."""
+    path = tmp_path / "tariff.csv"
+    with pytest.raises(dataio.DataError, match=re.escape(
+            f"{path}: cell 'a\\rb' holds a bare carriage return")):
+        dataio.write_tariff(path, np.ones((1, 24)), day_ids=("a\rb",))
+    assert not path.exists()
+    dataio.write_tariff(path, np.ones((1, 24)), day_ids=("a\r\nb",))
+    assert dataio.load_tariff(path)[1] == ("a\r\nb",)
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path), "premium-analytic",
                    "--days", str(tmp_path / "missing.csv")])

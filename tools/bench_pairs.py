@@ -18,7 +18,10 @@ percentage: solver calls per op, iterations, ratios, certificate
 headroom) as ``traced_counts``. They are taken over the workload's fixed
 prefix of inputs, so one run per side is exact. The traced run's wall
 time, the tracer's own post-processing included, is kept per side as
-``traced_wall_s``.
+``traced_wall_s``. The entry is written before the traced runs start and
+again after them, and a traced run that exits nonzero is kept as its
+exit code and the tail of its standard error in place of its counts, so
+a failed or stopped traced run loses none of the pairs.
 
 The output file keeps one entry per workload (or per ``--name``, e.g. a
 held-out seed), so several invocations can fill one file. Each entry
@@ -46,9 +49,10 @@ from pathlib import Path
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, type=Path,
+    # absolute, since each run starts in its own checkout
+    p.add_argument("--parent", required=True, type=lambda s: Path(s).resolve(),
                    help="checkout of the parent commit")
-    p.add_argument("--change", required=True, type=Path,
+    p.add_argument("--change", required=True, type=lambda s: Path(s).resolve(),
                    help="checkout of the change")
     p.add_argument("--workload", required=True,
                    choices=("case", "quote", "grid", "ccg"))
@@ -86,6 +90,14 @@ def identify(path):
     return {"commit": head, "src_digest": h.hexdigest()}
 
 
+class RunFailed(RuntimeError):
+    """A perfbench run that exited nonzero or printed nothing."""
+
+    def __init__(self, cmd, code, stderr):
+        self.code, self.stderr = code, stderr.strip()[-500:]
+        super().__init__(f"{' '.join(cmd)} exited {code}: {self.stderr}")
+
+
 def run_once(checkout, workload, seed, seconds, trace=0):
     """One perfbench run: (its final JSON record, its env line fields)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
@@ -95,8 +107,7 @@ def run_once(checkout, workload, seed, seconds, trace=0):
                          cwd=str(checkout))
     lines = out.stdout.splitlines()
     if out.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} exited {out.returncode}: "
-                           f"{out.stderr.strip()[-500:]}")
+        raise RunFailed(cmd, out.returncode, out.stderr)
     env = {}
     if lines[0].startswith("env: "):
         words = lines[0][len("env: "):].split(" ")
@@ -109,10 +120,15 @@ def run_once(checkout, workload, seed, seconds, trace=0):
 
 
 def traced_run(checkout, workload, seed, seconds):
-    """The count metrics of one traced run (its timings are dropped) and
+    """The count metrics of one traced run (its timings are dropped), or
+    its exit code and the tail of its standard error if it failed, and
     the run's wall time in seconds."""
     start = time.perf_counter()
-    record, _ = run_once(checkout, workload, seed, seconds, trace=1)
+    try:
+        record, _ = run_once(checkout, workload, seed, seconds, trace=1)
+    except RunFailed as exc:
+        return ({"exit_code": exc.code, "stderr_tail": exc.stderr},
+                time.perf_counter() - start)
     wall = time.perf_counter() - start
     return {k: v["value"] for k, v in record["metrics"].items()
             if not v["unit"].startswith("s/") and v["unit"] != "%"}, wall
@@ -172,12 +188,6 @@ def main(argv=None):
                 f"{k} {values[k]:.6g}" for k in metrics if k in values),
                 flush=True)
 
-    traced = {side: traced_run(getattr(args, side), args.workload,
-                               args.first_seed, args.seconds)
-              for side in ("parent", "change")}
-    counts = {side: c for side, (c, _) in traced.items()}
-    walls = {side: w for side, (_, w) in traced.items()}
-
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.update({
         "tool": "tools/bench_pairs.py",
@@ -187,20 +197,26 @@ def main(argv=None):
                  "machine": platform.machine(),
                  "python": platform.python_version()},
     })
-    doc.setdefault("workloads", {})[args.name or args.workload] = {
+    entry = doc.setdefault("workloads", {})[args.name or args.workload] = {
         "workload": args.workload, "seconds": args.seconds,
         "seeds": [args.first_seed + i for i in range(args.pairs)],
-        "env": envs, "runs": runs, "summary": summarize(runs, metrics),
-        "traced_counts": {"seed": args.first_seed, **counts},
-        "traced_wall_s": walls}
+        "env": envs, "runs": runs, "summary": summarize(runs, metrics)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, s in doc["workloads"][args.name or args.workload][
-            "summary"].items():
+    for name, s in entry["summary"].items():
         print(f"{name:12s} parent {s['parent']['median']:.6g} "
               f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] "
               f"change {s['change']['median']:.6g} "
               f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}] "
               f"ratio {s['ratio']:.4f} wins {s['wins']}/{s['pairs']}")
+
+    traced = {side: traced_run(getattr(args, side), args.workload,
+                               args.first_seed, args.seconds)
+              for side in ("parent", "change")}
+    counts = {side: c for side, (c, _) in traced.items()}
+    walls = {side: w for side, (_, w) in traced.items()}
+    entry["traced_counts"] = {"seed": args.first_seed, **counts}
+    entry["traced_wall_s"] = walls
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"traced run ({args.seconds:g} s, seed {args.first_seed}) wall "
           f"parent {walls['parent']:.1f} s change {walls['change']:.1f} s")
     for name, value in counts["change"].items():
